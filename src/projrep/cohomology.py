@@ -21,6 +21,7 @@ from math import gcd
 import numpy as np
 
 from .errors import (
+    CrossCheckMismatch,
     GroupTooLargeForH2,
     ModulusMismatch,
     NotCentral,
@@ -753,12 +754,7 @@ def multiplier_from_central_extension(E: FiniteGroup, Z: Subgroup,
     """
     c, quot = cocycle_from_extension(E, Z)
     Q = quot.group
-    order = None
-    for k in sorted(_divisors(Z.order)):
-        if is_trivial_coclass_numeric(Q, c.power(k).unit_table(), seed=seed):
-            order = k
-            break
-    assert order is not None
+    order = numeric_coclass_order(c, seed=seed)
     m = Q.order
     if order == 1:
         mult = SchurMultiplier(Q, [], [], {}, assumed=True)
@@ -777,6 +773,16 @@ def multiplier_from_central_extension(E: FiniteGroup, Z: Subgroup,
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def numeric_coclass_order(c: Cocycle, seed: int = 0) -> int:
+    """The smallest k with c^k numerically trivial; k divides the modulus."""
+    for k in _divisors(c.modulus):
+        if is_trivial_coclass_numeric(c.group, c.power(k).unit_table(),
+                                      seed=seed):
+            return k
+    raise CrossCheckMismatch("the modulus-th power of a cocycle is not "
+                             "numerically trivial")
 
 
 def is_trivial_coclass_numeric(G: FiniteGroup, unit_table: np.ndarray,

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     ClosureTooLarge,
     ComplementSearchExhausted,
+    CrossCheckMismatch,
     NotNormal,
     NotPermutation,
     NotPiSeparable,
@@ -85,6 +86,13 @@ class PiSet:
 
     def __repr__(self) -> str:
         return f"PiSet({self.label()})"
+
+
+def default_pi_sets(n: int) -> list[PiSet]:
+    """Every prime dividing n, then every pair of them."""
+    ps = prime_divisors(n)
+    return [PiSet([p]) for p in ps] + \
+        [PiSet([p, q]) for i, p in enumerate(ps) for q in ps[i + 1:]]
 
 
 class FiniteGroup:
@@ -304,9 +312,6 @@ class Subgroup:
             raise ValueError("index set is not closed")
         self.elements.setflags(write=False)
 
-    def index_in_parent(self) -> int:
-        return self.parent.order // self.order
-
     def contains(self, g: int) -> bool:
         return bool(self.mask()[g])
 
@@ -351,12 +356,6 @@ class Subgroup:
         """Parent index -> standalone index (or -1)."""
         self.as_group()
         return self._cache["pos"]
-
-    def sub_indices(self, H: "Subgroup") -> np.ndarray:
-        """Standalone indices of a smaller subgroup H <= self."""
-        if not self.mask()[H.elements].all():
-            raise ValueError("not a subgroup of this subgroup")
-        return self.positions()[H.elements]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and other.parent is self.parent
@@ -405,7 +404,9 @@ def conjugacy_classes(G: FiniteGroup) -> list["ConjClass"]:
         members = np.unique(G.mul[G.mul[G.inv, x][rng], rng])
         assigned[members] = len(out)
         cent = n // members.size
-        assert cent * members.size == n
+        if cent * members.size != n:
+            raise CrossCheckMismatch(
+                f"class of {x} has size {members.size} not dividing {n}")
         out.append(ConjClass(representative=x, members=members,
                              centralizer_order=cent))
     G._cache["classes"] = out
@@ -562,7 +563,8 @@ def _o_pi_uncached(G: FiniteGroup, pi: PiSet) -> Subgroup:
                 current = set(int(v) for v in trial)
                 grown = True
     H = Subgroup(G, sorted(current))
-    assert H.is_normal()
+    if not H.is_normal():
+        raise NotNormal(f"O_pi closure of order {H.order} is not normal")
     return H
 
 
@@ -620,33 +622,45 @@ class NormalSeries:
         return len(self.terms)
 
 
+_TAGS = ("pi", "pi_prime")
+
+
+def pi_ladder(G: FiniteGroup, pi: PiSet) -> list[Subgroup]:
+    """The raw O_pi/O_pi' ladder 1 = T_0 <= T_1 <= ... (cached).
+
+    T_(k+1) is the preimage of O_pi(G/T_k) for even k and of O_pi'(G/T_k)
+    for odd k, trivial steps included.  The walk stops at G, or after two
+    steps in a row that do not grow, which happens exactly when G is not
+    pi-separable.  Every pi-series in this module is read off this list.
+    """
+    key = ("pi_ladder", tuple(sorted(pi.primes)))
+    if key not in G._cache:
+        sets = (pi, pi.complement_in(G.order))
+        terms = [G.trivial_subgroup()]
+        while terms[-1].order < G.order and \
+                not (len(terms) > 2 and terms[-3].order == terms[-1].order):
+            quot = quotient_group(G, terms[-1])
+            O = o_pi(quot.group, sets[(len(terms) - 1) % 2])
+            terms.append(preimage(G, quot, O))
+        G._cache[key] = terms
+    return G._cache[key]
+
+
 def pi_series(G: FiniteGroup, pi: PiSet) -> NormalSeries:
     """The characteristic series 1 <= O_pi <= O_pipi' <= ... (duplicates dropped).
 
     Terminates at G exactly when G is pi-separable; otherwise the series is
     returned as far as it goes with ``reaches_group`` false.
     """
-    terms = [G.trivial_subgroup()]
+    ladder = pi_ladder(G, pi)
+    terms = [ladder[0]]
     tags: list[str] = []
-    tag_sets = [pi, pi.complement_in(G.order)]
-    tag_names = ["pi", "pi_prime"]
-    which = 0
-    stalls = 0
-    current = terms[0]
-    while current.order < G.order and stalls < 2:
-        quot = quotient_group(G, current)
-        O = o_pi(quot.group, tag_sets[which])
-        new = preimage(G, quot, O)
-        if new.order == current.order:
-            stalls += 1
-        else:
-            stalls = 0
-            terms.append(new)
-            tags.append(tag_names[which])
-            current = new
-        which ^= 1
+    for k in range(1, len(ladder)):
+        if ladder[k].order > ladder[k - 1].order:
+            terms.append(ladder[k])
+            tags.append(_TAGS[(k - 1) % 2])
     return NormalSeries(terms=terms, factor_pi_tags=tags,
-                        reaches_group=current.order == G.order)
+                        reaches_group=is_pi_separable(G, pi))
 
 
 def alternating_pi_series(G: FiniteGroup, pi: PiSet) -> NormalSeries:
@@ -654,23 +668,8 @@ def alternating_pi_series(G: FiniteGroup, pi: PiSet) -> NormalSeries:
     with a pi'-tagged final factor (trivial repeats kept)."""
     if not is_pi_separable(G, pi):
         raise NotPiSeparable(f"{G.name} is not {pi.label()}-separable")
-    terms = [G.trivial_subgroup()]
-    tags: list[str] = []
-    tag_sets = [pi, pi.complement_in(G.order)]
-    tag_names = ["pi", "pi_prime"]
-    which = 0
-    current = terms[0]
-    guard = 0
-    while current.order < G.order:
-        quot = quotient_group(G, current)
-        O = o_pi(quot.group, tag_sets[which])
-        current = preimage(G, quot, O)
-        terms.append(current)
-        tags.append(tag_names[which])
-        which ^= 1
-        guard += 1
-        if guard > 4 * G.order:
-            raise RuntimeError("series did not terminate")  # impossible
+    terms = list(pi_ladder(G, pi))
+    tags = [_TAGS[k % 2] for k in range(len(terms) - 1)]
     if not tags or tags[-1] == "pi":
         terms.append(G.full_subgroup())
         tags.append("pi_prime")
@@ -678,10 +677,7 @@ def alternating_pi_series(G: FiniteGroup, pi: PiSet) -> NormalSeries:
 
 
 def is_pi_separable(G: FiniteGroup, pi: PiSet) -> bool:
-    key = ("pi_sep", tuple(sorted(pi.primes)))
-    if key not in G._cache:
-        G._cache[key] = pi_series(G, pi).reaches_group
-    return G._cache[key]
+    return pi_ladder(G, pi)[-1].order == G.order
 
 
 def is_p_solvable(G: FiniteGroup, p: int) -> bool:
@@ -715,7 +711,9 @@ def _hall_rec(G: FiniteGroup, pi: PiSet) -> Subgroup:
         quot = quotient_group(G, N1)
         return preimage(G, quot, _hall_rec(quot.group, pi))
     N = o_pi(G, pi.complement_in(G.order))
-    assert N.order > 1, "pi-separable group with trivial O_pi and O_pi'"
+    if N.order == 1:
+        raise NotPiSeparable(f"{G.name} has trivial O_pi and O_pi' "
+                             f"for pi={pi.label()}")
     quot = quotient_group(G, N)
     K = preimage(G, quot, _hall_rec(quot.group, pi))
     return _hall_complement(G, K, pi, target)

@@ -22,10 +22,16 @@ from .errors import (
     PhaseInstability,
 )
 from .groups import FiniteGroup, Quotient, Subgroup, conjugacy_classes, quotient_group
-from .twisted import RegularClassData, TwistedAlgebra, c_regular_classes, wedderburn
+from .twisted import (
+    TOL_RANK,
+    RegularClassData,
+    TwistedAlgebra,
+    _cluster,
+    c_regular_classes,
+    wedderburn,
+)
 
 TOL_REP = 1e-8
-TOL_RANK = 1e-8
 TOL_CHECK = 1e-6
 SPLIT_RETRIES = 5
 
@@ -198,9 +204,7 @@ def _split_block(A: TwistedAlgebra, V: np.ndarray, degree: int,
         evals, evecs = np.linalg.eigh((C + C.conj().T) / 2)
         # pick the lowest eigenvalue cluster; it must have dim = degree
         gap = TOL_RANK * max(1.0, float(evals[-1] - evals[0]))
-        k = 1
-        while k < evals.size and evals[k] - evals[k - 1] < gap:
-            k += 1
+        k = len(_cluster(evals, gap)[0])
         if k != degree:
             last = NumericDegeneracy(f"eigenspace of dim {k}, expected {degree}")
             continue
@@ -251,12 +255,7 @@ def decompose(r: ProjRep, seed: int = 0) -> list[Constituent]:
         H = H + H.conj().T
         evals, evecs = np.linalg.eigh(H)
         gap = 1e-7 * max(1.0, float(evals[-1] - evals[0]))
-        pieces = []
-        start = 0
-        for i in range(1, d + 1):
-            if i == d or evals[i] - evals[i - 1] > gap:
-                pieces.append(evecs[:, start:i])
-                start = i
+        pieces = [evecs[:, idx[0]:idx[-1] + 1] for idx in _cluster(evals, gap)]
         try:
             subreps = []
             for W in pieces:
@@ -474,20 +473,9 @@ def factor_over_extension(X: ProjRep, ext: CliffordExtension,
     if np.max(np.abs(delta - b_table[np.ix_(quot.projection,
                                             quot.projection)])) > TOL_CHECK:
         raise CocycleMismatch("obstruction of X is not constant on cosets")
-    V = ext.base
-    d_x, d_v = X.degree, V.degree
-    npos = ext.n_in_j.elements
-    gens_local = [int(npos[g]) for g in V.group.gen_set()]
-    blocks = []
-    for gl, gstd in zip(gens_local, V.group.gen_set()):
-        blocks.append(np.kron(X.matrices[gl], np.eye(d_v))
-                      - np.kron(np.eye(d_x), V.matrices[gstd].T))
-    hom = _nullspace(np.concatenate(blocks, axis=0)) if blocks else \
-        [v for v in np.eye(d_x * d_v, dtype=np.complex128)]
-    mult = len(hom)
+    mult, ws = intertwiner_space(ext.base, restrict_rep(X, ext.n_in_j))
     if mult == 0:
         raise FactorizationFailure("base constituent absent from restriction")
-    ws = [h.reshape(d_x, d_v) for h in hom]
     nq = quot.group.order
     Wm = np.empty((nq, mult, mult), dtype=np.complex128)
     for c in range(nq):

@@ -17,6 +17,7 @@ from .cohomology import (
     Cocycle,
     Coclass,
     is_trivial_coclass_numeric,
+    numeric_coclass_order,
     pi_part,
     restrict_coclass,
 )
@@ -27,10 +28,12 @@ from .groups import (
     Subgroup,
     alternating_pi_series,
     conjugacy_classes,
+    default_pi_sets,
     hall_subgroup,
     is_p_solvable,
     is_pi_separable,
     o_pi,
+    pi_ladder,
     pi_series,
     prime_divisors,
     quotient_group,
@@ -53,10 +56,6 @@ from .reps import (
     tensor_reps,
 )
 from .twisted import TwistedAlgebra, c_regular_classes, wedderburn
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 class CoclassContext:
@@ -103,16 +102,9 @@ class CoclassContext:
                     vec = mult.resolve(self.cocycle.table, self.cocycle.modulus)
                     self._cache["order"] = mult.coclass(vec).order
                 else:
-                    self._cache["order"] = self._numeric_order()
+                    self._cache["order"] = numeric_coclass_order(
+                        self.cocycle, seed=self.seed)
         return self._cache["order"]
-
-    def _numeric_order(self) -> int:
-        for k in _divisors(self.cocycle.modulus):
-            power = self.cocycle.power(k)
-            if is_trivial_coclass_numeric(self.group, power.unit_table(),
-                                          seed=self.seed):
-                return k
-        raise RuntimeError("coclass order not found")  # m-th power is trivial
 
     def restricted(self, H: Subgroup) -> "CoclassContext":
         key = ("res", H.elements.tobytes())
@@ -206,10 +198,7 @@ def verify_basic(ctx: CoclassContext, pi_sets: list[PiSet] | None = None,
             <= set(prime_divisors(G.order)) for d in degrees),
     }
     if pi_sets is None:
-        ps = prime_divisors(G.order)
-        pi_sets = [PiSet([p]) for p in ps]
-        pi_sets += [PiSet([p, q]) for i, p in enumerate(ps)
-                    for q in ps[i + 1:]]
+        pi_sets = default_pi_sets(G.order)
     hall_tested = 0
     for pi in pi_sets:
         if not is_pi_separable(G, pi):
@@ -237,17 +226,6 @@ def verify_basic(ctx: CoclassContext, pi_sets: list[PiSet] | None = None,
 # -- dimension laws of the Clifford correspondence ---------------------------
 
 
-def _hom_dimension(V: ProjRep, X: ProjRep, N: Subgroup) -> int:
-    """dim Hom_N(V, res X|N) for X on the parent of N."""
-    res = restrict_rep(X, N)
-    blocks = []
-    for g in V.group.gen_set() or [0]:
-        blocks.append(np.kron(res.matrices[g], np.eye(V.degree))
-                      - np.kron(np.eye(res.degree), V.matrices[g].T))
-    from .reps import _nullspace
-    return len(_nullspace(np.concatenate(blocks, axis=0)))
-
-
 def verify_clifford_laws(ctx: CoclassContext, N: Subgroup,
                          V: ProjRep) -> CheckResult:
     """Dimension product, prime-set identities, the coprime extension, and
@@ -260,7 +238,8 @@ def verify_clifford_laws(ctx: CoclassContext, N: Subgroup,
     b_alg = TwistedAlgebra(quot_group, ext.b_table, check=False)
     w_degrees = wedderburn(b_alg, seed=ctx.seed).degrees
     index = G.order // J.order
-    over_V = [X for X in ctx.irreps if _hom_dimension(V, X, N) > 0]
+    over_V = [X for X in ctx.irreps
+              if intertwiner_space(V, restrict_rep(X, N))[0] > 0]
     checks = {}
     # dimension bookkeeping: dim X = dim V * dim W * |G:J| as multisets
     lhs_dims = sorted(X.degree for X in over_V)
@@ -378,17 +357,10 @@ def verify_ito_michler(ctx: CoclassContext, pi) -> CheckResult:
 
 
 def _is_pi_prime_pi_pi_prime(G: FiniteGroup, pi: PiSet) -> bool:
-    """G equals its O_(pi' pi pi') term."""
-    if not is_pi_separable(G, pi):
-        return False
-    pip = pi.complement_in(G.order)
-    t1 = o_pi(G, pip)
-    q1 = quotient_group(G, t1)
-    from .groups import preimage
-    t2 = preimage(G, q1, o_pi(q1.group, pi))
-    q2 = quotient_group(G, t2)
-    t3 = preimage(G, q2, o_pi(q2.group, pip))
-    return t3.order == G.order
+    """G equals its O_(pi' pi pi') term: the ladder started at pi' reaches
+    G within three steps."""
+    ladder = pi_ladder(G, pi.complement_in(G.order))
+    return len(ladder) <= 4 and ladder[-1].order == G.order
 
 
 def verify_normal_sylow_criterion(ctx: CoclassContext, p: int) -> CheckResult:
@@ -531,9 +503,8 @@ def decompose_along_series(V: ProjRep, terms: list[Subgroup],
         ext = clifford_extend(Vi, M, J_next, A_cur)
         # the Clifford correspondent: the constituent of res W over Vi
         resJ = restrict_rep(W, J_next)
-        n_in_next = ext.n_in_j
         cands = [c.rep for c in decompose(resJ, seed=ctx.seed)
-                 if _hom_dimension(Vi, c.rep, n_in_next) > 0]
+                 if intertwiner_space(Vi, restrict_rep(c.rep, ext.n_in_j))[0]]
         if len(cands) != 1:
             raise ReconstructionFailure(
                 f"{len(cands)} Clifford correspondents at step {i}")
@@ -557,7 +528,9 @@ def decompose_along_series(V: ProjRep, terms: list[Subgroup],
         pos = {int(v): i for i, v in enumerate(emb_y)}
         sub = Subgroup(Y.group, [pos[int(v)] for v in final_emb])
         restricted = restrict_rep(Y, sub)
-        assert np.array_equal(restricted.group.mul, Jf.mul)
+        if not np.array_equal(restricted.group.mul, Jf.mul):
+            raise ReconstructionFailure("factor restricts to a relabelled "
+                                        "copy of the final subgroup")
         factors.append(ProjRep(Jf, restricted.table, restricted.matrices,
                                check=False))
     big = factors[0]

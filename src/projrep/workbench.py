@@ -25,10 +25,12 @@ from .groups import (
     FiniteGroup,
     PiSet,
     build_group,
+    default_pi_sets,
     is_solvable,
     prime_divisors,
 )
-from .twisted import wedderburn
+from .reps import TOL_CHECK
+from .twisted import TOL_EIG_GAP, TOL_INT, TOL_RANK, wedderburn
 from .verify import (
     CheckResult,
     CoclassContext,
@@ -45,10 +47,10 @@ CHECK_NAMES = ("basic", "ito-michler", "sylow-criterion", "pi-theorem",
                "clifford-laws", "a5-control", "decompose")
 
 DEFAULT_TOLERANCES = {
-    "check": 1e-6,
-    "eigenvalue_gap": 1e-8,
-    "rank": 1e-8,
-    "integrality": 1e-6,
+    "check": TOL_CHECK,
+    "eigenvalue_gap": TOL_EIG_GAP,
+    "rank": TOL_RANK,
+    "integrality": TOL_INT,
 }
 
 
@@ -125,9 +127,7 @@ def _check_tasks(name: str, ctxs, config: RunConfig):
     primes = config.primes or list(prime_divisors(G.order))
     pis = config.pi_sets
     if pis is None:
-        ps = prime_divisors(G.order)
-        pis = [PiSet([p]) for p in ps] + \
-            [PiSet([p, q]) for i, p in enumerate(ps) for q in ps[i + 1:]]
+        pis = default_pi_sets(G.order)
     for ctx in ctxs:
         if "basic" in config.checks:
             yield lambda c=ctx: [verify_basic(c, h2_cap=config.h2_cap)]
@@ -152,8 +152,6 @@ def _check_tasks(name: str, ctxs, config: RunConfig):
 def _clifford_check(ctx: CoclassContext) -> list[CheckResult]:
     """Clifford dimension laws over one normal core per prime."""
     from .groups import o_pi
-    from .reps import split_regular
-    from .twisted import TwistedAlgebra
     G = ctx.group
     cores = []
     seen = set()
@@ -167,14 +165,8 @@ def _clifford_check(ctx: CoclassContext) -> list[CheckResult]:
             name="clifford_laws", group=G.name, coclass=ctx.label, param="-",
             lhs=None, rhs=None, verdict="inapplicable",
             reason="no proper nontrivial p-complement core")]
-    out = []
-    for N in cores:
-        alg = TwistedAlgebra(N.as_group(),
-                             ctx.algebra.table[np.ix_(N.elements, N.elements)],
-                             check=False)
-        V = split_regular(alg, seed=ctx.seed)[-1]
-        out.append(verify_clifford_laws(ctx, N, V))
-    return out
+    return [verify_clifford_laws(ctx, N, ctx.restricted(N).irreps[-1])
+            for N in cores]
 
 
 def _decompose_check(ctx: CoclassContext, name: str) -> list[CheckResult]:

@@ -13,11 +13,15 @@ from projrep.cohomology import (
 from projrep.groups import (
     PiSet,
     Subgroup,
+    alternating_pi_series,
+    default_pi_sets,
     hall_higman_check,
     hall_subgroup,
     o_pi,
     pi_series,
+    preimage,
     prime_divisors,
+    quotient_group,
 )
 from projrep.reps import (
     induce_rep,
@@ -29,7 +33,7 @@ from projrep.reps import (
     transport_rep,
 )
 from projrep.twisted import TwistedAlgebra
-from projrep.verify import _hom_dimension
+from projrep.verify import _is_pi_prime_pi_pi_prime
 
 
 def test_hall_higman_never_false_on_catalog():
@@ -105,6 +109,45 @@ def test_pi_series_terms_normal_and_monotone():
             assert series.reaches_group
 
 
+def _o_pi_prime_pi_pi_prime_is_whole(G, pi):
+    # reference: the three quotient steps of O_(pi' pi pi')(G), spelled out
+    pip = pi.complement_in(G.order)
+    t1 = o_pi(G, pip)
+    q1 = quotient_group(G, t1)
+    t2 = preimage(G, q1, o_pi(q1.group, pi))
+    q2 = quotient_group(G, t2)
+    t3 = preimage(G, q2, o_pi(q2.group, pip))
+    return t3.order == G.order
+
+
+def test_alternating_pi_series_on_catalog():
+    for e in catalog():
+        if e.order > 72:
+            continue
+        G = get_group(e.name)
+        for pi in default_pi_sets(G.order):
+            assert _is_pi_prime_pi_pi_prime(G, pi) == \
+                _o_pi_prime_pi_pi_prime_is_whole(G, pi), (e.name, pi)
+        if not e.solvable:
+            continue
+        for p in prime_divisors(G.order):
+            pi = PiSet([p])
+            alt = alternating_pi_series(G, pi)
+            orders = [t.order for t in alt.terms]
+            assert orders == sorted(orders), (e.name, p)
+            assert all(t.is_normal() for t in alt.terms), (e.name, p)
+            tags = alt.factor_pi_tags
+            assert len(tags) == len(alt.terms) - 1
+            assert tags == [("pi", "pi_prime")[k % 2]
+                            for k in range(len(tags))], (e.name, p)
+            assert alt.terms[-1].order == G.order and tags[-1] == "pi_prime"
+            distinct = [alt.terms[0]] + [
+                t for s, t in zip(alt.terms, alt.terms[1:])
+                if t.order > s.order]
+            assert [t.elements.tolist() for t in distinct] == \
+                [t.elements.tolist() for t in pi_series(G, pi).terms]
+
+
 def test_hall_part_restriction_injective():
     # distinct pi-parts of coclasses restrict to distinct classes on a Hall
     # pi-subgroup, tested via nontriviality of the restricted quotient
@@ -161,14 +204,15 @@ def test_induction_bijection(gname, coclass_index):
                         A.table[np.ix_(J.elements, J.elements)], check=False)
     n_in_j = Subgroup(J.as_group(), J.positions()[N.elements])
     fiber_J = [X for X in split_regular(AJ, seed=ctx.seed)
-               if _hom_dimension(V, X, n_in_j) > 0]
+               if intertwiner_space(V, restrict_rep(X, n_in_j))[0] > 0]
     induced = [induce_rep(X, J, A) for X in fiber_J]
     for ind in induced:
         assert is_irreducible(ind)
     for i in range(len(induced)):
         for j in range(i + 1, len(induced)):
             assert intertwiner_space(induced[i], induced[j])[0] == 0
-    fiber_G = [X for X in ctx.irreps if _hom_dimension(V, X, N) > 0]
+    fiber_G = [X for X in ctx.irreps
+               if intertwiner_space(V, restrict_rep(X, N))[0] > 0]
     assert len(fiber_G) == len(induced)
     matched = 0
     for X in fiber_G:
