@@ -4,12 +4,22 @@ Cocycles are stored additively: an integer table t with modulus m encodes the
 complex cocycle exp(2*pi*i*t/m).  The multiplier of G is assembled prime by
 prime: for each p with p^2 | |G| the classes of exponent p^j are computed as
 
-    ker(cocycle identity mod q) / (coboundaries mod q + character carries)
+    Z^2(Z/q) / (coboundaries mod q + character carries)
 
 with q = p^floor(v_p(|G|)/2), which bounds the exponent of the p-part.  The
 carry tables account for coboundaries of complex cochains whose values are
 not q-th roots of unity; without them the quotient Z^2(mu_q)/B^2(mu_q)
-overcounts (already for C2).  Everything here is immutable after
+overcounts (already for C2).
+
+Z^2(Z/q) is solved in generator coordinates.  A normalized cocycle is fixed
+by its values a(x, g) on the generators g, since the cocycle identity reads
+a(x, yg) = a(x, y) + a(xy, g) - a(y, g) along a BFS tree of the Cayley graph.
+That lift L turns the identity into a matrix FL on |gens|*(|G|-1) unknowns
+instead of (|G|-1)^2, and Z^2(Z/p^j) = L ker(FL mod p^j).  The generators
+handed on are rebuilt from that chain of kernels exactly as
+kernel_mod_prime_power would return them for the full identity matrix, so
+basis cocycles do not depend on the coordinates the solve used.  All of it
+is exact integer arithmetic.  Everything here is immutable after
 construction; the solver context is read-only and safe to share.
 """
 
@@ -21,6 +31,7 @@ from math import gcd
 import numpy as np
 
 from .errors import (
+    CocycleMismatch,
     CrossCheckMismatch,
     GroupTooLargeForH2,
     ModulusMismatch,
@@ -112,7 +123,8 @@ def kernel_mod_prime_power(M: np.ndarray, p: int, k: int) -> list[np.ndarray]:
         return basis
     K = np.stack(basis, axis=1)
     MK = M @ K
-    assert np.all(MK % p == 0)
+    if np.any(MK % p):
+        raise CrossCheckMismatch("kernel basis mod p is not in the kernel")
     Mrec = np.concatenate([MK // p, M], axis=1) % (p ** (k - 1))
     kappa = K.shape[1]
     out = []
@@ -146,7 +158,8 @@ def solve_mod_prime_power(M: np.ndarray, t: np.ndarray, p: int, k: int):
             v[c] = (-int(R[r, f])) % p
         basis.append(v)
     resid = t - M @ u1
-    assert np.all(resid % p == 0)
+    if np.any(resid % p):
+        raise CrossCheckMismatch("solution mod p does not solve the system")
     t1 = resid // p
     if basis:
         K = np.stack(basis, axis=1)
@@ -175,7 +188,8 @@ def smith_mod_prime_power(P: np.ndarray, p: int, k: int, rows: int):
     """
     q = p**k
     A = np.asarray(P, dtype=np.int64) % q
-    assert A.ndim == 2 and A.shape[0] == rows
+    if A.ndim != 2 or A.shape[0] != rows:
+        raise ModulusMismatch(f"presentation of shape {A.shape} for {rows} rows")
     cols = A.shape[1]
     uinv = np.eye(rows, dtype=np.int64)
     if A.size == 0:
@@ -331,34 +345,96 @@ def _unflat(v: np.ndarray, n: int) -> np.ndarray:
     return tab
 
 
-def _cocycle_constraints(G: FiniteGroup) -> np.ndarray:
-    """Identity constraints with the third slot running over generators.
+def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized cocycles in generator coordinates: (L, FL).
 
-    Rows F(x, y, g) = a(x,y) + a(xy,g) - a(y,g) - a(x,yg) for all nonidentity
-    x, y and generators g suffice: F of a longer word z*g is an integer
-    combination of F(., ., z) and F(., ., g) rows (the 2-coboundary of F
-    vanishes identically), and BFS generation reaches every element.
+    The coordinates u(x, g) are the values a(x, g) for nonidentity x and the
+    distinct nonidentity generators g.  The cocycle identity F(x, y, g) = 0
+    reads a(x, yg) = a(x, y) + a(xy, g) - a(y, g), so walking a BFS tree of
+    the right Cayley graph writes every value as a(x, z) = L[(x, z)] @ u;
+    a = L u is a cocycle mod q iff (F L) u = 0 mod q, hence
+    Z^2(Z/q) = L ker(FL mod q) for every q.  L has one row per flattened
+    table entry; FL has the rows F(x, y, g) for all nonidentity x, y and
+    generators g, which suffice (F of a longer word z*g is an integer
+    combination of F(., ., z) and F(., ., g) rows).  FL is built by
+    indexing rows of L, so F itself is never formed.
     """
     n = G.order
-    gens = G.gen_set()
+    gens = [g for g in dict.fromkeys(G.gen_set()) if g]
     m = n - 1
-    N = m * m
-    rows = len(gens) * N
-    M = np.zeros((rows, N), dtype=np.int16)
-    X, Y = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
+    xs = np.arange(1, n)
+    lift = np.zeros((n, n, len(gens) * m), dtype=np.int64)
+    for b, g in enumerate(gens):
+        lift[xs, g, b * m + xs - 1] = 1
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    seen[gens] = True
+    frontier = gens
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for g in gens:
+                z = int(G.mul[y, g])
+                if seen[z]:
+                    continue
+                seen[z] = True
+                lift[:, z] = lift[:, y] + lift[G.mul[:, y], g] - lift[y, g]
+                nxt.append(z)
+        frontier = nxt
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
     xf, yf = X.reshape(-1), Y.reshape(-1)
-    ridx = np.arange(N)
-    for bi, g in enumerate(gens):
-        base = bi * N
-        np.add.at(M, (base + ridx, ridx), 1)                       # a(x, y)
-        xy = G.mul[xf, yf]
-        ok = xy != 0
-        np.add.at(M, (base + ridx[ok], (xy[ok] - 1) * m + (g - 1)), 1)   # a(xy, g)
-        np.add.at(M, (base + ridx, (yf - 1) * m + (g - 1)), -1)          # a(y, g)
-        yg = G.mul[yf, g]
-        ok = yg != 0
-        np.add.at(M, (base + ridx[ok], (xf[ok] - 1) * m + (yg[ok] - 1)), -1)  # a(x, yg)
-    return M
+    xy = G.mul[xf, yf]
+    FL = np.concatenate([lift[xf, yf] + lift[xy, g] - lift[yf, g]
+                         - lift[xf, G.mul[yf, g]] for g in gens])
+    return lift[xf, yf], FL
+
+
+def _kernel_from_chain(chain: list[np.ndarray], p: int) -> list[np.ndarray]:
+    """kernel_mod_prime_power(M, p, k) rebuilt from the kernels of M alone.
+
+    chain[j-1] holds generators (as rows) of ker(M mod p^j) for j = 1..k.
+    Level 1 of kernel_mod_prime_power is a basis K of ker(M mod p) that
+    depends only on that kernel (below).  Its recursion on [MK/p | M] has
+    kernel mod p^j {(x, y) : Kx + py in ker(M mod p^(j+1))}, generated by
+    (a[lead], (a - K a[lead])/p) over the generators a of ker(M mod p^(j+1))
+    together with (-p e_i, K e_i), the integer kernel of (x, y) -> Kx + py.
+    """
+    k = len(chain)
+    # K: the basis of ker(M mod p) reduced on each vector's last nonzero entry
+    # (its lead), leads ascending.  It depends only on the kernel, and its
+    # leads are the free columns kernel_mod_prime_power reads off its pivots.
+    R, pivots = _rref_mod_p(chain[0][:, ::-1], p)
+    basis = [np.ascontiguousarray(R[r, ::-1]) for r, _ in reversed(pivots)]
+    lead = [chain[0].shape[1] - 1 - c for _, c in reversed(pivots)]
+    if k == 1 or not basis:
+        return basis
+    K = np.stack(basis, axis=1)
+    kappa = K.shape[1]
+    shifts = np.concatenate([-p * np.eye(kappa, dtype=np.int64), K]).T
+    sub = []
+    for j in range(1, k):
+        A = chain[j]
+        X = A[:, lead]
+        lifted = np.concatenate([X, (A - X @ K.T) // p], axis=1)
+        sub.append(np.concatenate([lifted, shifts]) % p**j)
+    q = p**k
+    return [(K @ w[:kappa] + p * w[kappa:]) % q
+            for w in _kernel_from_chain(sub, p)]
+
+
+def _cocycle_generators(L: np.ndarray, FL: np.ndarray, p: int,
+                        k: int) -> list[np.ndarray]:
+    """Generators of Z^2(G, Z/p^k) as flat tables, from _generator_lift.
+
+    Equal, element for element, to kernel_mod_prime_power of the full
+    cocycle-identity matrix; each ker(FL mod p^j) is solved once.
+    """
+    chain = []
+    for j in range(1, k + 1):
+        u = kernel_mod_prime_power(FL, p, j)
+        chain.append((np.stack(u) @ L.T) % p**j if u
+                     else np.zeros((0, L.shape[0]), dtype=np.int64))
+    return _kernel_from_chain(chain, p)
 
 
 def _coboundary_columns(G: FiniteGroup) -> np.ndarray:
@@ -552,7 +628,7 @@ def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultipli
     n = G.order
     parts: dict[int, list[tuple[int, np.ndarray]]] = {}
     if n > 1:
-        constraints = _cocycle_constraints(G)
+        L, FL = _generator_lift(G)
         delta = _coboundary_columns(G)
         carries = _character_carries(G)
         for p, e in factorize(n).items():
@@ -560,7 +636,7 @@ def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultipli
             if k == 0:
                 continue
             q = p**k
-            zgens = kernel_mod_prime_power(constraints, p, k)
+            zgens = _cocycle_generators(L, FL, p, k)
             if not zgens:
                 continue
             Z = np.stack(zgens, axis=1)
@@ -598,7 +674,8 @@ def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultipli
             acc += _unflat(tab, n) * (m // q)
         invariants.append(d)
         rep = Cocycle(G, m, acc % m, check=False)
-        assert rep.is_cocycle()
+        if not rep.is_cocycle():
+            raise CocycleMismatch(f"basis table {slot} of {G.name} is not a cocycle")
         basis.append(rep)
     for p, plist in parts.items():
         q = p ** (factorize(n)[p] // 2)
@@ -637,7 +714,8 @@ class Coclass:
         return self.multiplier.coclass([k * e for e in self.vector])
 
     def mul(self, other: "Coclass") -> "Coclass":
-        assert other.multiplier is self.multiplier
+        if other.multiplier is not self.multiplier:
+            raise ModulusMismatch("coclasses of different multipliers")
         return self.multiplier.coclass(
             [a + b for a, b in zip(self.vector, other.vector)])
 
@@ -739,7 +817,8 @@ def cocycle_from_extension(E: FiniteGroup, Z: Subgroup,
             zval = int(E.mul[int(prods[j]), int(E.inv[section[ij]])])
             tab[i, j] = dlog[zval]
     c = Cocycle(quot.group, Z.order, tab, check=False)
-    assert c.is_cocycle()
+    if not c.is_cocycle():
+        raise CocycleMismatch("extension table is not a cocycle")
     return c, quot
 
 
@@ -759,14 +838,18 @@ def multiplier_from_central_extension(E: FiniteGroup, Z: Subgroup,
     if order == 1:
         mult = SchurMultiplier(Q, [], [], {}, assumed=True)
     else:
-        assert len(factorize(order)) == 1, "extension class must have prime-power order"
+        if len(factorize(order)) != 1:
+            raise CrossCheckMismatch(
+                f"extension class has order {order}, not a prime power")
         (p,) = factorize(order).keys()
         rep = Cocycle(Q, m, c.table * (m // c.modulus), check=False)
         prime_tables = {p: (c.modulus, [_flat(c.table)])}
         mult = SchurMultiplier(Q, [order], [rep], prime_tables, assumed=True)
         # self-check: the basis resolves to the unit vector, triviality to zero
-        assert mult.resolve(rep.table, m) == (1 % order,)
-        assert mult.resolve(np.zeros((Q.order, Q.order), dtype=np.int64), m) == (0,)
+        if mult.resolve(rep.table, m) != (1 % order,):
+            raise CrossCheckMismatch("extension cocycle does not resolve to the basis")
+        if mult.resolve(np.zeros((Q.order, Q.order), dtype=np.int64), m) != (0,):
+            raise CrossCheckMismatch("the trivial table does not resolve to zero")
     Q._cache["schur"] = mult
     return mult, quot
 

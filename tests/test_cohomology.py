@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projrep.cohomology import (
     Cochain1,
     Cocycle,
+    _cocycle_generators,
+    _generator_lift,
+    _kernel_from_chain,
     cocycle_from_extension,
     inflate_coclass,
     is_cocycle,
     is_trivial_coclass_numeric,
+    kernel_mod_prime_power,
     multiplier_from_central_extension,
     pi_part,
     restrict_coclass,
@@ -19,7 +25,13 @@ from projrep.cohomology import (
     trivial_cocycle,
 )
 from projrep.errors import GroupTooLargeForH2, ModulusMismatch, NotCentral
-from projrep.groups import PiSet, Subgroup, build_group, quotient_group
+from projrep.groups import (
+    PiSet,
+    Subgroup,
+    build_group,
+    factorize,
+    quotient_group,
+)
 from projrep.twisted import TwistedAlgebra, wedderburn
 
 from conftest import center_subgroup, cyclic_gens, dihedral_gens, direct_gens
@@ -59,6 +71,10 @@ def test_perturbed_table_fails(v4):
     (direct_gens([[2, 1]], 2, direct_gens([[2, 1]], 2, [[2, 1]], 2), 4),
      "C2xC2xC2", [2, 2, 2]),
     (direct_gens([[2, 3, 4, 1]], 4, [[2, 3, 4, 1]], 4), "C4xC4", [4]),
+    # at the default cap: Kunneth for C2 x S4, and the dihedral group of order 40
+    (direct_gens([[2, 1]], 2, [[2, 1, 3, 4], [2, 3, 4, 1]], 4), "C2xS4", [2, 2]),
+    ([[(i + 1) % 20 + 1 for i in range(20)], [(-i) % 20 + 1 for i in range(20)]],
+     "D20", [2]),
 ])
 def test_schur_invariants(gens, name, expect):
     G = build_group(gens, name=name)
@@ -271,3 +287,87 @@ def test_hash_stable(v4):
     c = m.coclass([1]).representative
     assert c.hash_hex() == c.hash_hex()
     assert c.hash_hex() != trivial_cocycle(v4).hash_hex()
+
+
+def _cocycle_constraints_reference(G):
+    """The full cocycle-identity matrix on (|G|-1)^2 unknowns.
+
+    Rows F(x, y, g) = a(x,y) + a(xy,g) - a(y,g) - a(x,yg) for all nonidentity
+    x, y and generators g.
+    """
+    n = G.order
+    gens = G.gen_set()
+    m = n - 1
+    N = m * m
+    M = np.zeros((len(gens) * N, N), dtype=np.int16)
+    X, Y = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
+    xf, yf = X.reshape(-1), Y.reshape(-1)
+    ridx = np.arange(N)
+    for bi, g in enumerate(gens):
+        base = bi * N
+        np.add.at(M, (base + ridx, ridx), 1)                       # a(x, y)
+        xy = G.mul[xf, yf]
+        ok = xy != 0
+        np.add.at(M, (base + ridx[ok], (xy[ok] - 1) * m + (g - 1)), 1)   # a(xy, g)
+        np.add.at(M, (base + ridx, (yf - 1) * m + (g - 1)), -1)          # a(y, g)
+        yg = G.mul[yf, g]
+        ok = yg != 0
+        np.add.at(M, (base + ridx[ok], (xf[ok] - 1) * m + (yg[ok] - 1)), -1)  # a(x, yg)
+    return M
+
+
+def _small_catalog():
+    from projrep.catalog import catalog
+    return [e.name for e in catalog() if 1 < e.order <= 27]
+
+
+@pytest.mark.parametrize("name", _small_catalog())
+def test_generator_lift_matches_full_constraints(name):
+    # includes the k = 2 groups C4xC4, Q16, C2xD4, C2xQ8 and E27+/- at p = 3
+    from projrep.catalog import get_group
+    G = get_group(name)
+    L, FL = _generator_lift(G)
+    reference = _cocycle_constraints_reference(G)
+    for p, e in factorize(G.order).items():
+        k = e // 2
+        if k == 0:
+            continue
+        new = _cocycle_generators(L, FL, p, k)
+        old = kernel_mod_prime_power(reference, p, k)
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _scrambled(gens, p, j, cols, rng):
+    """Another generating set, as rows, of the same subgroup of (Z/p^j)^cols."""
+    q = p**j
+    if not gens:
+        return np.zeros((0, cols), dtype=np.int64)
+    A = np.stack(gens)
+    units = np.array([x for x in range(1, q) if x % p], dtype=np.int64)
+    scaled = A * rng.choice(units, size=(A.shape[0], 1))
+    mixed = rng.integers(0, q, size=(2, A.shape[0])) @ A
+    out = np.concatenate([scaled, mixed]) % q
+    return out[rng.permutation(out.shape[0])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3]), k=st.integers(1, 3),
+       rows=st.integers(1, 6), cols=st.integers(1, 6),
+       data=st.data())
+def test_kernel_from_chain_matches_kernel_mod_prime_power(p, k, rows, cols, data):
+    entries = data.draw(st.lists(st.integers(-9, 9), min_size=rows * cols,
+                                 max_size=rows * cols))
+    M = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    # rank-deficient mod p often enough to exercise the higher levels
+    if data.draw(st.booleans()):
+        M = (M * p) % p**k
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    chain = [_scrambled(kernel_mod_prime_power(M, p, j), p, j, cols, rng)
+             for j in range(1, k + 1)]
+    got = _kernel_from_chain(chain, p)
+    want = kernel_mod_prime_power(M, p, k)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
