@@ -167,10 +167,8 @@ def _a5_entry():
     def build():
         E = _get_group("SL(2,5)")
         Z = _center(E)
-        mult, quot = multiplier_from_central_extension(E, Z)
-        G = quot.group
-        G.name = "A5"
-        return G
+        mult, quot = multiplier_from_central_extension(E, Z, name="A5")
+        return quot.group
     return CatalogEntry(name="A5", order=60, solvable=False, build=build,
                         notes="coclasses via the double cover",
                         covered_by="SL(2,5)")

@@ -422,13 +422,29 @@ def _kernel_from_chain(chain: list[np.ndarray], p: int) -> list[np.ndarray]:
             for w in _kernel_from_chain(sub, p)]
 
 
+def _distinct_nonzero_rows(M: np.ndarray) -> np.ndarray:
+    """The first copy of each distinct nonzero row of M, in order.
+
+    A function of its own so that the row-bytes keys, as large as M, are
+    freed before the solves that follow.
+    """
+    M = M[np.any(M, axis=1)]
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(M):
+        first.setdefault(row.tobytes(), i)
+    return M[list(first.values())]
+
+
 def _cocycle_generators(L: np.ndarray, FL: np.ndarray, p: int,
                         k: int) -> list[np.ndarray]:
     """Generators of Z^2(G, Z/p^k) as flat tables, from _generator_lift.
 
     Equal, element for element, to kernel_mod_prime_power of the full
-    cocycle-identity matrix; each ker(FL mod p^j) is solved once.
+    cocycle-identity matrix; each ker(FL mod p^j) is solved once.  Zero and
+    repeated rows of FL are dropped first: the row space, hence every
+    kernel, stays the same.
     """
+    FL = _distinct_nonzero_rows(FL)
     chain = []
     for j in range(1, k + 1):
         u = kernel_mod_prime_power(FL, p, j)
@@ -684,8 +700,7 @@ def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultipli
             aligned[width - len(plist) + i] = tab
         prime_tables[p] = (q, aligned)
     mult = SchurMultiplier(G, invariants, basis, prime_tables)
-    G._cache["schur"] = mult
-    return mult
+    return G._cache.setdefault("schur", mult)
 
 
 # -- coclasses ---------------------------------------------------------------
@@ -743,9 +758,16 @@ def coclass_order(c: Coclass) -> int:
 
 
 def restrict_coclass(c: Coclass, H: Subgroup, cap: int = DEFAULT_H2_CAP) -> Coclass:
-    """The class of the restricted representative inside H's multiplier."""
+    """The class of the restricted representative inside H's multiplier.
+
+    Restriction to all of G is the identity, so it is resolved in c's own
+    multiplier instead of solving H.as_group(), the same table again.
+    """
     rc = c.representative.restrict(H)
-    mult_H = schur_multiplier(H.as_group(), cap)
+    if H.order == H.parent.order:
+        mult_H = c.multiplier
+    else:
+        mult_H = schur_multiplier(H.as_group(), cap)
     vec = mult_H.resolve(rc.table, rc.modulus)
     return mult_H.coclass(vec)
 
@@ -822,17 +844,24 @@ def cocycle_from_extension(E: FiniteGroup, Z: Subgroup,
     return c, quot
 
 
-def multiplier_from_central_extension(E: FiniteGroup, Z: Subgroup,
-                                      seed: int = 0) -> tuple[SchurMultiplier, Quotient]:
+def multiplier_from_central_extension(E: FiniteGroup, Z: Subgroup, seed: int = 0,
+                                      name: str | None = None
+                                      ) -> tuple[SchurMultiplier, Quotient]:
     """Multiplier of E/Z assuming the extension cocycle generates it.
 
     Used when the quotient exceeds the direct computation cap and a covering
     group is known (e.g. a perfect central extension).  The class order is
     measured with the numeric degree-one test; completeness of the basis is
-    the caller's responsibility.
+    the caller's responsibility.  The quotient is a private group named
+    ``name`` (default E/|Z|), not the shared one of quotient_group, since the
+    assumed multiplier is cached on it.
     """
-    c, quot = cocycle_from_extension(E, Z)
-    Q = quot.group
+    c, shared = cocycle_from_extension(E, Z)
+    Q = FiniteGroup(shared.group.mul, name=name or f"{E.name}/{Z.order}",
+                    validate=False)
+    quot = Quotient(group=Q, projection=shared.projection,
+                    section=shared.section)
+    c = Cocycle(Q, c.modulus, c.table, check=False)
     order = numeric_coclass_order(c, seed=seed)
     m = Q.order
     if order == 1:
@@ -873,9 +902,15 @@ def is_trivial_coclass_numeric(G: FiniteGroup, unit_table: np.ndarray,
     """True iff the twisted algebra over this table has a degree-1 block.
 
     A degree-1 projective representation trivializes its cocycle, so this is
-    a class-triviality test that needs no exact arithmetic.
+    a class-triviality test that needs no exact arithmetic.  The verdict is
+    cached on G per (table, seed); the table enters the key as the SHA-256
+    of its bytes, which keeps a full catalog sweep's thousands of keys small.
     """
     from .twisted import TwistedAlgebra, wedderburn
 
-    A = TwistedAlgebra(G, unit_table)
-    return 1 in wedderburn(A, seed=seed).degrees
+    table = np.ascontiguousarray(unit_table, dtype=np.complex128)
+    key = ("trivial_numeric", hashlib.sha256(table.tobytes()).digest(), seed)
+    if key not in G._cache:
+        A = TwistedAlgebra(G, table)
+        G._cache[key] = 1 in wedderburn(A, seed=seed).degrees
+    return G._cache[key]

@@ -4,6 +4,15 @@ Elements are indices 0..order-1 with 0 the identity.  All objects are
 immutable after construction (internal caches are append-only), so they can
 be shared freely across threads; every operation here is a pure function of
 its inputs.
+
+Derived groups are shared per Cayley table: ``Subgroup.as_group`` and
+``quotient_group`` take their ``FiniteGroup`` from one process-wide registry
+keyed on the re-indexed table, so every subgroup or quotient with the same
+table is the same object and its caches (classes, pi-ladders, Hall
+subgroups, the multiplier) are computed once.  Such a group keeps the name
+of its first construction.  Groups from ``build_group``, the catalog and
+files stay out of the registry: their generator lists differ from the
+derived default, and with them ``gen_set`` and everything solved over it.
 """
 
 from __future__ import annotations
@@ -226,6 +235,21 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
+# Re-indexed subgroups and quotients, one group per Cayley table (bytes of
+# the int64 table).  setdefault makes concurrent builders agree on one object.
+_DERIVED: dict[bytes, FiniteGroup] = {}
+
+
+def _derived_group(mul: np.ndarray, name: str) -> FiniteGroup:
+    """The shared group of a re-indexed Cayley table (see the module doc)."""
+    key = mul.tobytes()
+    group = _DERIVED.get(key)
+    if group is None:
+        group = _DERIVED.setdefault(
+            key, FiniteGroup(mul, name=name, validate=False))
+    return group
+
+
 def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
@@ -336,20 +360,21 @@ class Subgroup:
         return self._cache["normal"]
 
     def as_group(self) -> FiniteGroup:
-        """Re-index this subgroup as a standalone group (cached).
+        """Re-index this subgroup as a standalone group (cached, shared).
 
         Standalone index i corresponds to parent index ``elements[i]``;
-        ``elements`` therefore doubles as the embedding map.
+        ``elements`` therefore doubles as the embedding map.  Subgroups with
+        the same re-indexed table share one group.
         """
         if "group" not in self._cache:
             el = self.elements
             pos = np.full(self.parent.order, -1, dtype=np.int64)
             pos[el] = np.arange(self.order)
             sub_mul = pos[self.parent.mul[np.ix_(el, el)]]
-            sub = FiniteGroup(sub_mul, name=f"{self.parent.name}|{self.order}",
-                              validate=False)
-            self._cache["group"] = sub
+            sub = _derived_group(sub_mul, f"{self.parent.name}|{self.order}")
+            # "pos" first: positions() reads it once "group" is present
             self._cache["pos"] = pos
+            self._cache["group"] = sub
         return self._cache["group"]
 
     def positions(self) -> np.ndarray:
@@ -409,8 +434,9 @@ def conjugacy_classes(G: FiniteGroup) -> list["ConjClass"]:
                 f"class of {x} has size {members.size} not dividing {n}")
         out.append(ConjClass(representative=x, members=members,
                              centralizer_order=cent))
-    G._cache["classes"] = out
+    # "class_of" first: class_of() reads it once "classes" is present
     G._cache["class_of"] = assigned
+    G._cache["classes"] = out
     return out
 
 
@@ -582,7 +608,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> Quotient:
 
     Cosets are ordered by their minimal element; the section records that
     minimal representative, so the identity coset is index 0 with
-    representative 0.
+    representative 0.  Quotients with the same table share one group.
     """
     if not N.is_normal():
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
@@ -596,9 +622,8 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> Quotient:
         proj[members] = len(section)
         section.append(g)
     section = np.array(section, dtype=np.int64)
-    q = section.size
     mul_q = proj[G.mul[np.ix_(section, section)]]
-    Qg = FiniteGroup(mul_q, name=f"{G.name}/{N.order}", validate=False)
+    Qg = _derived_group(mul_q, f"{G.name}/{N.order}")
     return Quotient(group=Qg, projection=proj, section=section)
 
 

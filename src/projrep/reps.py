@@ -98,8 +98,9 @@ def _nullspace(M: np.ndarray, tol: float = TOL_RANK) -> list[np.ndarray]:
 def intertwiner_space(r1: ProjRep, r2: ProjRep,
                       tol: float = TOL_CHECK) -> tuple[int, list[np.ndarray]]:
     """Solutions of X r1(g) = r2(g) X; orthonormal under Frobenius."""
-    if r1.group.order != r2.group.order or \
-            not np.array_equal(r1.group.mul, r2.group.mul):
+    if r1.group is not r2.group and (
+            r1.group.order != r2.group.order
+            or not np.array_equal(r1.group.mul, r2.group.mul)):
         raise CocycleMismatch("representations live on different groups")
     if np.max(np.abs(r1.table - r2.table)) > tol:
         raise CocycleMismatch("cocycles differ beyond tolerance")
@@ -108,13 +109,15 @@ def intertwiner_space(r1: ProjRep, r2: ProjRep,
     if not gens:
         basis = [v.reshape(d2, d1) for v in np.eye(d1 * d2, dtype=np.complex128)]
         return d1 * d2, basis
-    blocks = []
+    # per generator g the block kron(1, r1(g)^T) - kron(r2(g), 1), all
+    # generators in one broadcast product (bitwise equal to np.kron)
+    m1 = r1.matrices[gens].transpose(0, 2, 1)
+    m2 = r2.matrices[gens]
     eye1 = np.eye(d1)
     eye2 = np.eye(d2)
-    for g in gens:
-        blocks.append(np.kron(eye2, r1.matrices[g].T)
-                      - np.kron(r2.matrices[g], eye1))
-    null = _nullspace(np.concatenate(blocks, axis=0))
+    stack = eye2[None, :, None, :, None] * m1[:, None, :, None, :] \
+        - m2[:, :, None, :, None] * eye1[None, None, :, None, :]
+    null = _nullspace(stack.reshape(len(gens) * d1 * d2, d1 * d2))
     return len(null), [v.reshape(d2, d1) for v in null]
 
 
@@ -138,8 +141,9 @@ def tensor_reps(r1: ProjRep, r2: ProjRep) -> ProjRep:
     if r1.group is not r2.group and \
             not np.array_equal(r1.group.mul, r2.group.mul):
         raise CocycleMismatch("tensor factors live on different groups")
-    mats = np.stack([np.kron(r1.matrices[g], r2.matrices[g])
-                     for g in range(r1.group.order)])
+    a, b = r1.matrices, r2.matrices
+    mats = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
+        a.shape[0], r1.degree * r2.degree, r1.degree * r2.degree)
     return ProjRep(r1.group, r1.table * r2.table, mats, check=False)
 
 

@@ -148,6 +148,15 @@ def test_restrict_to_trivial_and_cyclic(v4, s4g):
         assert restrict_coclass(cs, H).is_trivial()
 
 
+def test_restrict_to_whole_group_stays_in_its_multiplier(s4g):
+    ms = schur_multiplier(s4g)
+    full = s4g.full_subgroup()
+    for c in ms.coclasses():
+        r = restrict_coclass(c, full)
+        assert r.multiplier is ms and r == c
+    assert "schur" not in full.as_group()._cache
+
+
 def test_inflate_from_s4_quotient(s4g):
     # S4/V4 is S3-shaped with trivial multiplier: only trivial inflations
     from projrep.groups import PiSet, o_pi
@@ -232,6 +241,15 @@ def test_sl25_covering_multiplier(sl25g):
     c = mult.coclass([1])
     A = TwistedAlgebra.from_cocycle(c.representative)
     assert wedderburn(A, seed=0).degrees == [2, 2, 4, 6]
+
+
+def test_covering_quotient_is_private(sl25g):
+    Z = center_subgroup(sl25g)
+    mult, quot = multiplier_from_central_extension(sl25g, Z, name="A5'")
+    shared = quotient_group(sl25g, Z).group
+    assert quot.group.name == "A5'" and quot.group is not shared
+    assert np.array_equal(quot.group.mul, shared.mul)
+    assert mult.group is quot.group and "schur" not in shared._cache
 
 
 def test_resolve_roundtrip(s4g, d4g):

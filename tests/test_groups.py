@@ -301,6 +301,75 @@ def test_subgroup_as_group_roundtrip(s4):
             assert el[D.mul[i, j]] == s4.mul[el[i], el[j]]
 
 
+def test_as_group_shared_per_table(s3, s4):
+    # two subgroup objects with one re-indexed table give one group, also
+    # across parents: every subgroup of order 2 re-indexes to the C2 table
+    P = sylow_subgroup(s4, 2)
+    assert P.as_group() is s4.subgroup(P.elements).as_group()
+    t3 = next(g for g in range(6) if s3.order_of(g) == 2)
+    t4 = next(g for g in range(24) if s4.order_of(g) == 2)
+    assert s3.subgroup([0, t3]).as_group() is s4.subgroup([0, t4]).as_group()
+
+
+def test_quotient_group_shared_per_table(s4, c6):
+    V = o_pi(s4, PiSet([2]))
+    assert quotient_group(s4, V).group is quotient_group(s4, s4.subgroup(
+        V.elements)).group
+    # C6/C3 and a C2 subgroup of S4 have the same table
+    C3 = o_pi(c6, PiSet([3]))
+    t4 = next(g for g in range(24) if s4.order_of(g) == 2)
+    assert quotient_group(c6, C3).group is s4.subgroup([0, t4]).as_group()
+
+
+def test_built_groups_stay_out_of_the_registry(s4):
+    # the full subgroup has s4's table but not its generators
+    full = s4.full_subgroup().as_group()
+    assert full is not s4
+    assert np.array_equal(full.mul, s4.mul)
+    assert quotient_group(s4, s4.trivial_subgroup()).group is full
+
+
+def test_registry_race_gives_one_group():
+    # threads that build the same new table at once must all get one group;
+    # a lost update (plain assignment instead of setdefault) would not
+    import sys
+    import threading
+
+    from projrep.groups import FiniteGroup, Subgroup
+
+    rng = np.random.default_rng(5)
+    n = 160
+    cyc = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+            mul = np.empty_like(cyc)
+            mul[np.ix_(perm, perm)] = perm[cyc]
+            G = FiniteGroup(mul, validate=False)   # a table nobody built yet
+            barrier = threading.Barrier(8)
+            got = [None] * 8
+
+            def build(i):
+                barrier.wait(timeout=10)
+                H = Subgroup(G, range(n))
+                got[i] = (H.as_group(), H.positions())
+
+            threads = [threading.Thread(target=build, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert all(g is not None for g in got)
+            assert len({id(g) for g, _ in got}) == 1
+            assert got[0][0] is not G
+    finally:
+        sys.setswitchinterval(old)
+
+
 def test_pi_set_arithmetic():
     pi = PiSet([2, 3])
     assert pi.part(24) == 24

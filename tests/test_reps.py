@@ -1,8 +1,14 @@
 """Tests for projective representations and the Clifford operations."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from projrep import reps
 from projrep.cohomology import (
     cocycle_from_extension,
     is_trivial_coclass_numeric,
@@ -12,6 +18,7 @@ from projrep.cohomology import (
 from projrep.errors import CocycleMismatch
 from projrep.groups import PiSet, Subgroup, build_group, closure, o_pi
 from projrep.reps import (
+    ProjRep,
     character,
     clifford_extend,
     conjugate_rep,
@@ -315,3 +322,30 @@ def test_clifford_i_constant_multiplicity(s4g):
         assert len(mults) == 1
         degs = {c.rep.degree for c in cons}
         assert len(degs) == 1
+
+
+def _random_matrices(draw, n, d):
+    return draw(arrays(np.complex128, (n, d, d), elements=st.complex_numbers(
+        max_magnitude=4, allow_nan=False, allow_infinity=False)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d1=st.integers(1, 4), d2=st.integers(1, 4), data=st.data())
+def test_kron_products_bitwise_equal_to_np_kron(s3g, d1, d2, data):
+    # arbitrary (non-unitary) matrices, signed zeros included: the broadcast
+    # products must equal the per-element np.kron loop bit for bit
+    n = s3g.order
+    ones = np.ones((n, n), dtype=np.complex128)
+    r1 = ProjRep(s3g, ones, _random_matrices(data.draw, n, d1), check=False)
+    r2 = ProjRep(s3g, ones, _random_matrices(data.draw, n, d2), check=False)
+    want = np.stack([np.kron(r1.matrices[g], r2.matrices[g]) for g in range(n)])
+    assert tensor_reps(r1, r2).matrices.tobytes() == want.tobytes()
+    gens = s3g.gen_set()
+    want = np.concatenate([np.kron(np.eye(d2), r1.matrices[g].T)
+                           - np.kron(r2.matrices[g], np.eye(d1))
+                           for g in gens], axis=0)
+    with mock.patch.object(reps, "_nullspace",
+                           wraps=reps._nullspace) as nullspace:
+        intertwiner_space(r1, r2)
+    (stack,), _ = nullspace.call_args
+    assert stack.shape == want.shape and stack.tobytes() == want.tobytes()

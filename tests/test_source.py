@@ -16,3 +16,21 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_group_names_set_only_at_construction():
+    # derived groups are shared per Cayley table, so renaming one renames it
+    # for every caller; a group is named when it is built
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inits = [f for c in ast.walk(tree)
+                 if isinstance(c, ast.ClassDef) and c.name == "FiniteGroup"
+                 for f in c.body
+                 if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+        allowed = {id(node) for f in inits for node in ast.walk(f)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "name"
+                  and isinstance(node.ctx, ast.Store)
+                  and id(node) not in allowed]
+    assert found == []

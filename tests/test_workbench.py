@@ -61,6 +61,38 @@ def test_coclass_enumeration():
     assert [c.label for c in a5] == ["[0]", "[1]"]
 
 
+def test_catalog_groups_stay_out_of_the_registry():
+    from projrep import groups
+
+    built = [get_group(e.name) for e in catalog() if e.order <= 60]
+    for G in built:
+        assert G.full_subgroup().as_group() is not G
+    shared = {id(D) for D in groups._DERIVED.values()}
+    assert not shared & {id(G) for G in built}
+    # A5 is a private quotient of SL(2,5), named when it was built; the
+    # shared group with its table has neither its name nor its multiplier
+    a5 = get_group("A5")
+    sl25 = get_group("SL(2,5)")
+    Z = sl25.subgroup([g for g in range(sl25.order)
+                       if np.array_equal(sl25.mul[g], sl25.mul[:, g])])
+    twin = groups.quotient_group(sl25, Z).group
+    assert a5.name == "A5" and twin is not a5
+    assert np.array_equal(twin.mul, a5.mul)
+    assert "schur" not in twin._cache
+    assert a5._cache["schur"].invariants == [2]
+
+
+def test_warm_registry_changes_no_record():
+    def records(groups):
+        _, results = run(RunConfig(groups=groups, seed=11))
+        return [json.dumps(r.to_dict(), sort_keys=True) for r in results
+                if r.group == "SL(2,3)"]
+
+    alone = records(["SL(2,3)"])
+    assert alone
+    assert records(["S4", "C2xA4", "SL(2,3)"]) == alone
+
+
 def test_group_json_roundtrip():
     for name in ("S4", "Q16", "A5"):
         G = get_group(name)
