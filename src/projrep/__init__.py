@@ -4,7 +4,15 @@ Computes Schur multipliers, twisted group algebras, c-regular classes,
 irreducible projective degrees and explicit representations, runs the
 Clifford decomposition machinery, and machine-checks Ito-Michler-type
 equivalences on a catalog of small groups.
+
+OpenBLAS runs one thread per process unless ``OPENBLAS_NUM_THREADS`` says
+otherwise: the matrices here are small, and a parallel sweep already runs
+one worker process per CPU.  The default is set before numpy is imported.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .cohomology import (
     Cochain1,

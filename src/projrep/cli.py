@@ -46,7 +46,8 @@ def _parse_pi(value: str | None) -> PiSet | None:
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Directory for JSONL results and the CSV summary.")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker threads for verification sweeps.")
+              help="Worker processes for verification sweeps, one group "
+                   "each, capped at the usable CPUs.")
 @click.pass_context
 def main(ctx, tol, seed, h2_cap, order_cap, out, jobs):
     """Projective representation workbench for small finite groups."""

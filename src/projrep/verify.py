@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import (
+    DEFAULT_H2_CAP,
     Cocycle,
     Coclass,
     is_trivial_coclass_numeric,
@@ -180,7 +181,7 @@ def _inapplicable(name, ctx, param, reason):
 
 
 def verify_basic(ctx: CoclassContext, pi_sets: list[PiSet] | None = None,
-                 h2_cap: int = 24) -> CheckResult:
+                 h2_cap: int = DEFAULT_H2_CAP) -> CheckResult:
     """Degree formula, class counting, order divisibilities, prime chain,
     and the three-way Hall restriction criterion."""
     G = ctx.group

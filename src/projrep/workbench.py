@@ -1,9 +1,11 @@
 """Run configuration, sweep execution, group I/O, and report persistence.
 
-A run maps (group, coclass, check, parameter) tasks over a bounded thread
-pool; every randomized step is seeded from (config seed, group, coclass)
-alone, so identical configurations produce byte-identical reports
-regardless of scheduling.
+A run checks each group's (coclass, check, parameter) tasks in one process;
+with ``--jobs`` above 1 the groups are shared out over forked worker
+processes, one group at a time.  Every randomized step is seeded from
+(config seed, group, coclass) alone and every cache is per group or per
+Cayley table, so identical configurations produce byte-identical reports at
+any number of workers.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -188,22 +190,43 @@ def _decompose_check(ctx: CoclassContext, name: str) -> list[CheckResult]:
     return out
 
 
+def _sweep_group(name: str, config: RunConfig) -> list[CheckResult]:
+    """Every check of one group, run in this process."""
+    ctxs = contexts_for(name, config)
+    return [r for task in _check_tasks(name, ctxs, config) for r in task()]
+
+
+def _worker_count(jobs: int, groups: int) -> int:
+    """Worker processes for a sweep: at most one per job, group and usable
+    CPU.  1 means the sweep runs in the calling process."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, groups, cpus))
+
+
 def run(config: RunConfig) -> tuple[int, list[CheckResult]]:
     """Execute the configured sweep; returns (exit_status, results)."""
     config.validate()
     names = config.group_names()
-    all_tasks = []
-    for name in names:
-        ctxs = contexts_for(name, config)
-        all_tasks.extend(_check_tasks(name, ctxs, config))
-    results: list[CheckResult] = []
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for chunk in pool.map(lambda t: t(), all_tasks):
-                results.extend(chunk)
+    workers = _worker_count(config.jobs, len(names))
+    if workers > 1:
+        # imported here: single-shot commands never pay for multiprocessing.
+        # fork: workers inherit the imported modules instead of importing
+        # them again; the caches a worker fills stay in that worker
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+            chunks = list(pool.map(_sweep_group, names,
+                                   [config] * len(names)))
     else:
-        for t in all_tasks:
-            results.extend(t())
+        chunks = [_sweep_group(name, config) for name in names]
+    # group_names() order and a stable sort: ties fall as in a serial run
+    results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r.group, r.coclass, r.name, r.param))
     if config.out is not None:
         write_reports(results, config)

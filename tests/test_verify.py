@@ -45,6 +45,23 @@ def test_basic_a5_covering():
     assert r.witnesses["degrees"] == [2, 2, 4, 6]
 
 
+def test_basic_default_cap_reaches_hall_subgroups_above_24(monkeypatch):
+    # E27+ is its own Hall 3-subgroup; at the default cap the exact
+    # restriction side of the Hall criterion is evaluated on it
+    import projrep.verify as verify
+    real = verify.restrict_coclass
+    orders = []
+
+    def counted(c, H, cap):
+        orders.append(H.order)
+        return real(c, H, cap=cap)
+
+    monkeypatch.setattr(verify, "restrict_coclass", counted)
+    r = verify_basic(ctx_of("E27+", 1))
+    assert r.verdict == "pass"
+    assert 27 in orders
+
+
 def test_ito_michler_s3():
     ctx = ctx_of("S3")
     r3 = verify_ito_michler(ctx, 3)

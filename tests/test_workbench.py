@@ -1,6 +1,9 @@
 """Tests for the catalog, run configuration, reports, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +13,10 @@ from projrep.catalog import catalog, coclass_contexts, entry, get_group
 from projrep.cli import main
 from projrep.errors import ConfigError, ParseError, UnknownGroup
 from projrep.groups import is_solvable, is_p_solvable
+from projrep import workbench
 from projrep.workbench import (
     RunConfig,
+    _worker_count,
     export_group,
     parse_group_json,
     run,
@@ -174,6 +179,72 @@ def test_run_parallel_matches_serial(tmp_path):
     run(cfg2)
     assert (tmp_path / "serial" / "results.jsonl").read_bytes() == \
         (tmp_path / "parallel" / "results.jsonl").read_bytes()
+
+
+def test_process_pool_matches_serial_on_three_groups(tmp_path):
+    # A5 builds its covering group SL(2,5) inside a worker
+    for jobs in (1, 2):
+        run(RunConfig(groups=["S4", "SL(2,3)", "A5"], seed=5, jobs=jobs,
+                      out=tmp_path / str(jobs)))
+    for report in ("results.jsonl", "summary.csv"):
+        assert (tmp_path / "1" / report).read_bytes() == \
+            (tmp_path / "2" / report).read_bytes()
+    records = (tmp_path / "1" / "results.jsonl").read_text().splitlines()
+    assert {json.loads(line)["group"] for line in records} == \
+        {"S4", "SL(2,3)", "A5"}
+
+
+def test_unknown_group_raises_the_same_error_at_any_jobs():
+    messages = []
+    for jobs in (1, 2):
+        with pytest.raises(UnknownGroup) as info:
+            run(RunConfig(groups=["S3", "NoSuchGroup"], checks=["basic"],
+                          jobs=jobs))
+        assert type(info.value) is UnknownGroup
+        messages.append(str(info.value))
+    assert "NoSuchGroup" in messages[0]
+    assert messages[0] == messages[1]
+
+
+def test_worker_count_never_exceeds_jobs_groups_or_cpus(monkeypatch):
+    # only the helper sees huge job counts; no process is started here
+    cpus = len(os.sched_getaffinity(0))
+    for jobs in (1, 2, 3, 10_000):
+        for groups in (0, 1, 2, 5, 63):
+            assert _worker_count(jobs, groups) == \
+                max(1, min(jobs, groups, cpus))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _worker_count(10_000, 63) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert _worker_count(10_000, 63) == 63
+    assert _worker_count(3, 63) == 3
+    monkeypatch.delattr(os, "fork")
+    assert _worker_count(10_000, 63) == 1
+
+
+def test_one_worker_starts_no_process(monkeypatch):
+    def refuse():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    run(RunConfig(groups=["S3", "C6"], checks=["basic"], jobs=1))
+    run(RunConfig(groups=["S3"], checks=["basic"], jobs=4))
+
+
+def test_import_pins_openblas_to_one_thread_by_default():
+    src = str(os.path.dirname(os.path.dirname(workbench.__file__)))
+    probe = "import os, projrep; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for preset, expected in ((None, "1"), ("3", "3")):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True).stdout
+        assert out.strip() == expected
 
 
 def test_cli_degrees():
