@@ -24,7 +24,6 @@ from .cohomology import (
     inflate_coclass,
     is_cocycle,
     is_trivial_coclass_numeric,
-    multiplier_from_central_extension,
     pi_part,
     restrict_coclass,
     schur_multiplier,

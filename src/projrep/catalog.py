@@ -1,10 +1,9 @@
 """Built-in group catalog.
 
 Every entry is constructed from permutation generators through build_group
-(quotients excepted), carries expected metadata for self-checks, and knows
-how to enumerate its coclasses.  Groups above the multiplier cap expose the
-trivial coclass only, unless a covering group supplies more (the order-60
-simple group gets its nontrivial class from its double cover).
+and carries expected metadata for self-checks.  Any group, from the catalog
+or not, yields one context per coclass of its directly solved multiplier;
+groups above the multiplier cap expose the trivial coclass only.
 """
 
 from __future__ import annotations
@@ -12,21 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .cohomology import (
-    DEFAULT_H2_CAP,
-    multiplier_from_central_extension,
-    schur_multiplier,
-    trivial_cocycle,
-)
+from .cohomology import DEFAULT_H2_CAP, schur_multiplier, trivial_cocycle
 from .errors import UnknownGroup
-from .groups import (
-    DEFAULT_ORDER_CAP,
-    FiniteGroup,
-    Subgroup,
-    build_group,
-    centralizer_of_set,
-    is_solvable,
-)
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group, is_solvable
 from .verify import CoclassContext
 
 
@@ -152,7 +139,6 @@ class CatalogEntry:
     solvable: bool
     build: Callable[[], FiniteGroup]
     notes: str = ""
-    covered_by: str | None = None  # covering-group source for coclasses
 
 
 def _perm_entry(name, order, solvable, gens, points=None, notes=""):
@@ -161,23 +147,6 @@ def _perm_entry(name, order, solvable, gens, points=None, notes=""):
                            cap=DEFAULT_ORDER_CAP)
     return CatalogEntry(name=name, order=order, solvable=solvable,
                         build=build, notes=notes)
-
-
-def _a5_entry():
-    def build():
-        E = _get_group("SL(2,5)")
-        Z = _center(E)
-        mult, quot = multiplier_from_central_extension(E, Z, name="A5")
-        return quot.group
-    return CatalogEntry(name="A5", order=60, solvable=False, build=build,
-                        notes="coclasses via the double cover",
-                        covered_by="SL(2,5)")
-
-
-def _center(G: FiniteGroup) -> Subgroup:
-    members = [g for g in range(G.order)
-               if centralizer_of_set(G, [g]).order == G.order]
-    return Subgroup(G, members)
 
 
 def _entries() -> list[CatalogEntry]:
@@ -204,7 +173,7 @@ def _entries() -> list[CatalogEntry]:
         _perm_entry("S3", 6, True, S3),
         _perm_entry("S4", 24, True, S4),
         _perm_entry("A4", 12, True, A4),
-        _a5_entry(),
+        _perm_entry("A5", 60, False, A5_PERM),
         _perm_entry("SL(2,3)", 24, True, _sl2(3)),
         _perm_entry("SL(2,5)", 120, False, _sl2(5)),
         _perm_entry("C7:C3", 21, True, _affine(7, 2)),
@@ -249,10 +218,6 @@ def entry(name: str) -> CatalogEntry:
 
 
 def get_group(name: str) -> FiniteGroup:
-    return _get_group(name)
-
-
-def _get_group(name: str) -> FiniteGroup:
     if name not in _GROUPS:
         e = entry(name)
         G = e.build()
@@ -268,18 +233,19 @@ def _get_group(name: str) -> FiniteGroup:
 
 def coclass_contexts(name: str, h2_cap: int = DEFAULT_H2_CAP,
                      seed: int = 0) -> list[CoclassContext]:
-    """One context per enumerable coclass, lexicographic over the basis.
+    """group_contexts of the catalog group called name."""
+    return group_contexts(get_group(name), h2_cap=h2_cap, seed=seed)
 
-    Groups over the multiplier cap (without a covering construction) yield
-    only the trivial coclass.
+
+def group_contexts(G: FiniteGroup, h2_cap: int = DEFAULT_H2_CAP,
+                   seed: int = 0) -> list[CoclassContext]:
+    """One context per coclass of G, lexicographic over the basis.
+
+    Groups over the multiplier cap yield only the trivial coclass.
     """
-    G = _get_group(name)
-    mult = G._cache.get("schur")
-    if mult is None and G.order <= h2_cap:
-        mult = schur_multiplier(G, cap=h2_cap)
-    if mult is None:
+    if G.order > h2_cap:
         return [CoclassContext(G, trivial_cocycle(G), label="trivial",
-                               seed=seed, coclass=None)]
+                               seed=seed)]
     return [CoclassContext(G, c.representative, label=c.label(), seed=seed,
                            coclass=c)
-            for c in mult.coclasses()]
+            for c in schur_multiplier(G, cap=h2_cap).coclasses()]

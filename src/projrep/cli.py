@@ -8,7 +8,7 @@ from pathlib import Path
 
 import click
 
-from .catalog import catalog, coclass_contexts
+from .catalog import catalog
 from .cohomology import DEFAULT_H2_CAP
 from .errors import BadCoclassIndex, ProjrepError
 from .groups import DEFAULT_ORDER_CAP, PiSet
@@ -81,10 +81,6 @@ def _context(config, group, coclass_index):
 def multiplier(config, group):
     """Invariant factors and basis hashes of the multiplier."""
     G = resolve_group(group, config.order_cap)
-    if group in [e.name for e in catalog()]:
-        # catalog entries above the cap may install a covering-derived
-        # multiplier (A5); enumerate once so the report sees it
-        coclass_contexts(group, h2_cap=config.h2_cap)
     click.echo(json.dumps(multiplier_report(G, h2_cap=config.h2_cap),
                           sort_keys=True))
 

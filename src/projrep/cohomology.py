@@ -48,7 +48,7 @@ from .groups import (
     quotient_group,
 )
 
-DEFAULT_H2_CAP = 48
+DEFAULT_H2_CAP = 60
 
 
 def _lcm(a: int, b: int) -> int:
@@ -522,14 +522,13 @@ class SchurMultiplier:
 
     def __init__(self, group: FiniteGroup, invariants: list[int],
                  basis: list[Cocycle],
-                 prime_tables: dict[int, tuple[int, list]], assumed: bool = False):
+                 prime_tables: dict[int, tuple[int, list]]):
         self.group = group
         self.invariants = list(invariants)
         self.basis = list(basis)
         self.modulus = max(group.order, 1)
         # per prime p: (q_p, list over basis slots of flat tables mod q_p or None)
         self._prime_tables = prime_tables
-        self.assumed_complete = assumed
 
     @property
     def order(self) -> int:
@@ -645,16 +644,17 @@ def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultipli
     parts: dict[int, list[tuple[int, np.ndarray]]] = {}
     if n > 1:
         L, FL = _generator_lift(G)
+        # the lift is the largest array of the solve: free it before the
+        # relation kernels and Smith forms
+        by_prime = {p: (e // 2, _cocycle_generators(L, FL, p, e // 2))
+                    for p, e in factorize(n).items() if e // 2}
+        del L, FL
         delta = _coboundary_columns(G)
         carries = _character_carries(G)
-        for p, e in factorize(n).items():
-            k = e // 2
-            if k == 0:
-                continue
-            q = p**k
-            zgens = _cocycle_generators(L, FL, p, k)
+        for p, (k, zgens) in by_prime.items():
             if not zgens:
                 continue
+            q = p**k
             Z = np.stack(zgens, axis=1)
             bcols = [delta] + [c[:, None] for ell, c in carries if ell == p]
             B = np.concatenate(bcols, axis=1)
@@ -842,45 +842,6 @@ def cocycle_from_extension(E: FiniteGroup, Z: Subgroup,
     if not c.is_cocycle():
         raise CocycleMismatch("extension table is not a cocycle")
     return c, quot
-
-
-def multiplier_from_central_extension(E: FiniteGroup, Z: Subgroup, seed: int = 0,
-                                      name: str | None = None
-                                      ) -> tuple[SchurMultiplier, Quotient]:
-    """Multiplier of E/Z assuming the extension cocycle generates it.
-
-    Used when the quotient exceeds the direct computation cap and a covering
-    group is known (e.g. a perfect central extension).  The class order is
-    measured with the numeric degree-one test; completeness of the basis is
-    the caller's responsibility.  The quotient is a private group named
-    ``name`` (default E/|Z|), not the shared one of quotient_group, since the
-    assumed multiplier is cached on it.
-    """
-    c, shared = cocycle_from_extension(E, Z)
-    Q = FiniteGroup(shared.group.mul, name=name or f"{E.name}/{Z.order}",
-                    validate=False)
-    quot = Quotient(group=Q, projection=shared.projection,
-                    section=shared.section)
-    c = Cocycle(Q, c.modulus, c.table, check=False)
-    order = numeric_coclass_order(c, seed=seed)
-    m = Q.order
-    if order == 1:
-        mult = SchurMultiplier(Q, [], [], {}, assumed=True)
-    else:
-        if len(factorize(order)) != 1:
-            raise CrossCheckMismatch(
-                f"extension class has order {order}, not a prime power")
-        (p,) = factorize(order).keys()
-        rep = Cocycle(Q, m, c.table * (m // c.modulus), check=False)
-        prime_tables = {p: (c.modulus, [_flat(c.table)])}
-        mult = SchurMultiplier(Q, [order], [rep], prime_tables, assumed=True)
-        # self-check: the basis resolves to the unit vector, triviality to zero
-        if mult.resolve(rep.table, m) != (1 % order,):
-            raise CrossCheckMismatch("extension cocycle does not resolve to the basis")
-        if mult.resolve(np.zeros((Q.order, Q.order), dtype=np.int64), m) != (0,):
-            raise CrossCheckMismatch("the trivial table does not resolve to zero")
-    Q._cache["schur"] = mult
-    return mult, quot
 
 
 def _divisors(n: int) -> list[int]:

@@ -98,13 +98,8 @@ class CoclassContext:
             if self.coclass is not None:
                 self._cache["order"] = self.coclass.order
             else:
-                mult = self.group._cache.get("schur")
-                if mult is not None:
-                    vec = mult.resolve(self.cocycle.table, self.cocycle.modulus)
-                    self._cache["order"] = mult.coclass(vec).order
-                else:
-                    self._cache["order"] = numeric_coclass_order(
-                        self.cocycle, seed=self.seed)
+                self._cache["order"] = numeric_coclass_order(
+                    self.cocycle, seed=self.seed)
         return self._cache["order"]
 
     def restricted(self, H: Subgroup) -> "CoclassContext":

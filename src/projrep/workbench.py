@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import catalog, coclass_contexts, get_group
-from .cohomology import DEFAULT_H2_CAP
+from .catalog import catalog, get_group, group_contexts
+from .cohomology import DEFAULT_H2_CAP, schur_multiplier
 from .errors import ConfigError, ParseError, UnknownGroup
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -104,21 +104,9 @@ def resolve_group(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 
 def contexts_for(name: str, config: RunConfig) -> list[CoclassContext]:
-    seed = _task_seed(config.seed, name)
-    if any(e.name == name for e in catalog()):
-        ctxs = coclass_contexts(name, h2_cap=config.h2_cap, seed=seed)
-    else:
-        from .cohomology import schur_multiplier, trivial_cocycle
-        G = resolve_group(name, config.order_cap)
-        if G.order <= config.h2_cap:
-            mult = schur_multiplier(G, cap=config.h2_cap)
-            ctxs = [CoclassContext(G, c.representative, label=c.label(),
-                                   seed=seed, coclass=c)
-                    for c in mult.coclasses()]
-        else:
-            ctxs = [CoclassContext(G, trivial_cocycle(G), label="trivial",
-                                   seed=seed)]
-    for i, ctx in enumerate(ctxs):
+    ctxs = group_contexts(resolve_group(name, config.order_cap),
+                          h2_cap=config.h2_cap)
+    for ctx in ctxs:
         ctx.seed = _task_seed(config.seed, name, ctx.label)
     return ctxs
 
@@ -275,17 +263,13 @@ def degrees_report(ctx: CoclassContext, tol: float = 1e-6) -> dict:
 
 
 def multiplier_report(G: FiniteGroup, h2_cap: int = DEFAULT_H2_CAP) -> dict:
-    mult = G._cache.get("schur")
-    if mult is None:
-        from .cohomology import schur_multiplier
-        mult = schur_multiplier(G, cap=h2_cap)
+    mult = schur_multiplier(G, cap=h2_cap)
     return {
         "group": G.name,
         "invariants": mult.invariants,
         "order": mult.order,
         "exponent": mult.exponent,
         "basis_hashes": [c.hash_hex() for c in mult.basis],
-        "assumed_complete": mult.assumed_complete,
     }
 
 

@@ -16,7 +16,6 @@ from projrep.cohomology import (
     is_cocycle,
     is_trivial_coclass_numeric,
     kernel_mod_prime_power,
-    multiplier_from_central_extension,
     pi_part,
     restrict_coclass,
     schur_multiplier,
@@ -90,7 +89,7 @@ def test_schur_q8_trivial(q8g):
     ("C5:C4", []), ("C2xD4", [2, 2, 2]), ("C2xQ8", [2, 2]), ("C2xA4", [2]),
     ("C2xC2xS3", [2, 2, 2]), ("S3xS3", [2]), ("C3xS3", []), ("D5", []),
     ("D6", [2]), ("D8", [2]), ("D12", [2]), ("C2xC6", [2]), ("C3xC6", [3]),
-    ("C6xC6", [6]),
+    ("C6xC6", [6]), ("A5", [2]),
 ])
 def test_schur_catalog_known_values(name, expect):
     # cross-checked against the Kunneth formula / classical tables
@@ -235,21 +234,14 @@ def test_cocycle_from_extension_not_central(s4g):
 
 
 def test_sl25_covering_multiplier(sl25g):
-    mult, quot = multiplier_from_central_extension(sl25g, center_subgroup(sl25g))
-    assert quot.group.order == 60
+    # the double cover's extension cocycle generates the directly solved
+    # multiplier of its quotient table, a copy of A5
+    c, quot = cocycle_from_extension(sl25g, center_subgroup(sl25g))
+    mult = schur_multiplier(quot.group)
     assert mult.invariants == [2]
-    c = mult.coclass([1])
-    A = TwistedAlgebra.from_cocycle(c.representative)
+    assert mult.resolve(c.table, c.modulus) == (1,)
+    A = TwistedAlgebra.from_cocycle(c)
     assert wedderburn(A, seed=0).degrees == [2, 2, 4, 6]
-
-
-def test_covering_quotient_is_private(sl25g):
-    Z = center_subgroup(sl25g)
-    mult, quot = multiplier_from_central_extension(sl25g, Z, name="A5'")
-    shared = quotient_group(sl25g, Z).group
-    assert quot.group.name == "A5'" and quot.group is not shared
-    assert np.array_equal(quot.group.mul, shared.mul)
-    assert mult.group is quot.group and "schur" not in shared._cache
 
 
 def test_resolve_roundtrip(s4g, d4g):

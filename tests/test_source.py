@@ -34,3 +34,29 @@ def test_group_names_set_only_at_construction():
                   and isinstance(node.ctx, ast.Store)
                   and id(node) not in allowed]
     assert found == []
+
+
+def test_multiplier_cached_only_by_its_solver():
+    # one multiplier path: only schur_multiplier stores a group's "schur"
+    # entry, so no other construction can stand in for the solved one
+    def stores_schur(node):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            key = node.slice
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "setdefault" and node.args):
+            key = node.args[0]
+        else:
+            return False
+        return isinstance(key, ast.Constant) and key.value == "schur"
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        solver = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef)
+                  and f.name == "schur_multiplier"
+                  for node in ast.walk(f)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if stores_schur(node) and id(node) not in solver]
+    assert found == []

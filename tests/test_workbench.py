@@ -61,9 +61,21 @@ def test_coclass_enumeration():
     # above-cap groups expose only the trivial class
     big = coclass_contexts("SL(2,5)")
     assert len(big) == 1 and big[0].label == "trivial"
-    # the covering route gives the order-60 simple group two classes
+    # the order-60 simple group is solved directly at the default cap
     a5 = coclass_contexts("A5")
     assert [c.label for c in a5] == ["[0]", "[1]"]
+
+
+def test_a5_above_the_cap_has_only_the_trivial_coclass(monkeypatch, capsys):
+    from projrep.cli import entry as cli_entry
+    a5 = coclass_contexts("A5", h2_cap=48)
+    assert [c.label for c in a5] == ["trivial"]
+    monkeypatch.setattr(sys, "argv",
+                        ["projrep", "--h2-cap", "48", "multiplier", "A5"])
+    with pytest.raises(SystemExit) as info:
+        cli_entry()
+    assert info.value.code == 2
+    assert "exceeds cap 48" in capsys.readouterr().err
 
 
 def test_catalog_groups_stay_out_of_the_registry():
@@ -74,17 +86,6 @@ def test_catalog_groups_stay_out_of_the_registry():
         assert G.full_subgroup().as_group() is not G
     shared = {id(D) for D in groups._DERIVED.values()}
     assert not shared & {id(G) for G in built}
-    # A5 is a private quotient of SL(2,5), named when it was built; the
-    # shared group with its table has neither its name nor its multiplier
-    a5 = get_group("A5")
-    sl25 = get_group("SL(2,5)")
-    Z = sl25.subgroup([g for g in range(sl25.order)
-                       if np.array_equal(sl25.mul[g], sl25.mul[:, g])])
-    twin = groups.quotient_group(sl25, Z).group
-    assert a5.name == "A5" and twin is not a5
-    assert np.array_equal(twin.mul, a5.mul)
-    assert "schur" not in twin._cache
-    assert a5._cache["schur"].invariants == [2]
 
 
 def test_warm_registry_changes_no_record():
@@ -182,7 +183,7 @@ def test_run_parallel_matches_serial(tmp_path):
 
 
 def test_process_pool_matches_serial_on_three_groups(tmp_path):
-    # A5 builds its covering group SL(2,5) inside a worker
+    # each group's multiplier is solved inside a worker
     for jobs in (1, 2):
         run(RunConfig(groups=["S4", "SL(2,3)", "A5"], seed=5, jobs=jobs,
                       out=tmp_path / str(jobs)))
