@@ -244,6 +244,22 @@ def test_sl25_covering_multiplier(sl25g):
     assert wedderburn(A, seed=0).degrees == [2, 2, 4, 6]
 
 
+def test_covering_quotient_is_private(sl25g):
+    # the cover's quotient is the shared group of its table and serves only
+    # as an oracle; the catalog A5 is a group of its own, solved on its own
+    from projrep.catalog import get_group
+
+    Z = center_subgroup(sl25g)
+    _, quot = cocycle_from_extension(sl25g, Z)
+    assert quot.group is quotient_group(sl25g, Z).group
+    A5 = get_group("A5")
+    assert A5 is not quot.group
+    m_cover, m_cat = schur_multiplier(quot.group), schur_multiplier(A5)
+    assert m_cover is not m_cat
+    assert m_cover.group is quot.group and m_cat.group is A5
+    assert m_cover.invariants == m_cat.invariants == [2]
+
+
 def test_resolve_roundtrip(s4g, d4g):
     for G in (s4g, d4g):
         m = schur_multiplier(G)
