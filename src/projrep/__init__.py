@@ -20,7 +20,6 @@ from .cohomology import (
     Cocycle,
     SchurMultiplier,
     cocycle_from_extension,
-    coclass_order,
     inflate_coclass,
     is_cocycle,
     is_trivial_coclass_numeric,

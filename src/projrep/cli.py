@@ -35,8 +35,6 @@ def _parse_pi(value: str | None) -> PiSet | None:
 
 
 @click.group()
-@click.option("--tol", type=float, default=1e-6, show_default=True,
-              help="Comparison tolerance for checks.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Base seed for all randomized numerics.")
 @click.option("--h2-cap", type=int, default=DEFAULT_H2_CAP, show_default=True,
@@ -49,10 +47,10 @@ def _parse_pi(value: str | None) -> PiSet | None:
               help="Worker processes for verification sweeps, one group "
                    "each, capped at the usable CPUs.")
 @click.pass_context
-def main(ctx, tol, seed, h2_cap, order_cap, out, jobs):
+def main(ctx, seed, h2_cap, order_cap, out, jobs):
     """Projective representation workbench for small finite groups."""
-    ctx.obj = RunConfig(tol=tol, seed=seed, h2_cap=h2_cap,
-                        order_cap=order_cap, out=out, jobs=jobs)
+    ctx.obj = RunConfig(seed=seed, h2_cap=h2_cap, order_cap=order_cap,
+                        out=out, jobs=jobs)
 
 
 @main.command("catalog")
@@ -93,7 +91,7 @@ def multiplier(config, group):
 def degrees(config, group, coclass_index):
     """Irreducible projective degrees for one coclass."""
     ctx = _context(config, group, coclass_index)
-    click.echo(json.dumps(degrees_report(ctx, tol=config.tol), sort_keys=True))
+    click.echo(json.dumps(degrees_report(ctx), sort_keys=True))
 
 
 @main.command("regular-classes")
@@ -118,7 +116,7 @@ def regular_classes_cmd(config, group, coclass_index):
 @click.pass_obj
 def verify(config, group, check, prime, pi):
     """Run theorem checks; nonzero exit iff any applicable check fails."""
-    config.groups = [e.name for e in catalog()] if group == "all" else [group]
+    config.groups = [group]
     if check:
         config.checks = [check]
     if prime is not None:

@@ -752,11 +752,6 @@ class Coclass:
         return f"Coclass({self.multiplier.group.name}, {self.label()})"
 
 
-def coclass_order(c: Coclass) -> int:
-    """Minimal k with c^k trivial."""
-    return c.order
-
-
 def restrict_coclass(c: Coclass, H: Subgroup, cap: int = DEFAULT_H2_CAP) -> Coclass:
     """The class of the restricted representative inside H's multiplier.
 
@@ -859,7 +854,7 @@ def numeric_coclass_order(c: Cocycle, seed: int = 0) -> int:
 
 
 def is_trivial_coclass_numeric(G: FiniteGroup, unit_table: np.ndarray,
-                               seed: int = 0, tol: float = 1e-6) -> bool:
+                               seed: int = 0) -> bool:
     """True iff the twisted algebra over this table has a degree-1 block.
 
     A degree-1 projective representation trivializes its cocycle, so this is

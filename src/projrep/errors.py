@@ -46,7 +46,7 @@ class NumericDegeneracy(ProjrepError):
 
 
 class DegreeNotIntegral(ProjrepError):
-    """A block degree did not round to an integer within tolerance."""
+    """A block rank is not a perfect square, or the degrees miss |G|."""
 
 
 class CrossCheckMismatch(ProjrepError):

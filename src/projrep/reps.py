@@ -8,6 +8,7 @@ immutable and safe to share; randomized splits are pure in (input, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,10 @@ from .errors import (
 )
 from .groups import FiniteGroup, Quotient, Subgroup, conjugacy_classes, quotient_group
 from .twisted import (
-    TOL_RANK,
+    TOL_CHECK,
+    TOL_DEFECT,
+    TOL_GAP,
+    TOL_UNITARY,
     RegularClassData,
     TwistedAlgebra,
     _cluster,
@@ -31,8 +35,6 @@ from .twisted import (
     wedderburn,
 )
 
-TOL_REP = 1e-8
-TOL_CHECK = 1e-6
 SPLIT_RETRIES = 5
 
 
@@ -56,15 +58,15 @@ class ProjRep:
     def _validate(self) -> None:
         d = self.degree
         eye = np.eye(d)
-        if np.max(np.abs(self.matrices[0] - eye)) > TOL_REP:
+        if np.max(np.abs(self.matrices[0] - eye)) > TOL_DEFECT:
             raise ValueError("phi(1) is not the identity")
         for g in range(self.group.order):
             M = self.matrices[g]
-            if np.max(np.abs(M @ M.conj().T - eye)) > TOL_REP:
+            if np.max(np.abs(M @ M.conj().T - eye)) > TOL_DEFECT:
                 raise ValueError(f"phi({g}) is not unitary")
         # phi(g) phi(y) = a(g,y) phi(gy) on generators suffices: the relation
         # propagates to products of generators through the cocycle identity
-        if self.defect() > TOL_REP:
+        if self.defect() > TOL_DEFECT:
             raise ValueError("matrices violate the cocycle relation")
 
     def defect(self, full: bool = False) -> float:
@@ -85,24 +87,23 @@ class ProjRep:
         return f"ProjRep({self.group.name}, degree={self.degree})"
 
 
-def _nullspace(M: np.ndarray, tol: float = TOL_RANK) -> list[np.ndarray]:
+def _nullspace(M: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of the right null space."""
     if M.shape[0] == 0:
         return [v for v in np.eye(M.shape[1], dtype=np.complex128)]
     _, s, vh = np.linalg.svd(M)
     scale = max(1.0, float(s[0]) if s.size else 1.0)
-    rank = int(np.sum(s > tol * scale))
+    rank = int(np.sum(s > TOL_GAP * scale))
     return [vh[i].conj() for i in range(rank, M.shape[1])]
 
 
-def intertwiner_space(r1: ProjRep, r2: ProjRep,
-                      tol: float = TOL_CHECK) -> tuple[int, list[np.ndarray]]:
+def intertwiner_space(r1: ProjRep, r2: ProjRep) -> tuple[int, list[np.ndarray]]:
     """Solutions of X r1(g) = r2(g) X; orthonormal under Frobenius."""
     if r1.group is not r2.group and (
             r1.group.order != r2.group.order
             or not np.array_equal(r1.group.mul, r2.group.mul)):
         raise CocycleMismatch("representations live on different groups")
-    if np.max(np.abs(r1.table - r2.table)) > tol:
+    if np.max(np.abs(r1.table - r2.table)) > TOL_CHECK:
         raise CocycleMismatch("cocycles differ beyond tolerance")
     d1, d2 = r1.degree, r2.degree
     gens = r1.group.gen_set()
@@ -179,7 +180,7 @@ def split_regular(A: TwistedAlgebra, seed: int = 0) -> list[ProjRep]:
         E = A.action_matrix(e_vec)
         evals, evecs = np.linalg.eigh((E + E.conj().T) / 2)
         V = evecs[:, evals > 0.5]
-        expected = int(round(np.sqrt(V.shape[1])))
+        expected = math.isqrt(V.shape[1])
         if expected * expected != V.shape[1]:
             raise NumericDegeneracy("idempotent image has unexpected rank")
         out.append(_split_block(A, V, expected, seed))
@@ -207,7 +208,7 @@ def _split_block(A: TwistedAlgebra, V: np.ndarray, degree: int,
         C = V.conj().T @ _right_action_matrix(A, b) @ V
         evals, evecs = np.linalg.eigh((C + C.conj().T) / 2)
         # pick the lowest eigenvalue cluster; it must have dim = degree
-        gap = TOL_RANK * max(1.0, float(evals[-1] - evals[0]))
+        gap = TOL_GAP * max(1.0, float(evals[-1] - evals[0]))
         k = len(_cluster(evals, gap)[0])
         if k != degree:
             last = NumericDegeneracy(f"eigenspace of dim {k}, expected {degree}")
@@ -258,7 +259,7 @@ def decompose(r: ProjRep, seed: int = 0) -> list[Constituent]:
             H += c * X
         H = H + H.conj().T
         evals, evecs = np.linalg.eigh(H)
-        gap = 1e-7 * max(1.0, float(evals[-1] - evals[0]))
+        gap = TOL_GAP * max(1.0, float(evals[-1] - evals[0]))
         pieces = [evecs[:, idx[0]:idx[-1] + 1] for idx in _cluster(evals, gap)]
         try:
             subreps = []
@@ -402,14 +403,14 @@ def clifford_extend(r: ProjRep, N: Subgroup, J: Subgroup,
         X = basis[0]
         lam = float(np.real(np.trace(X.conj().T @ X))) / d
         U = X / np.sqrt(lam)
-        if np.max(np.abs(U @ U.conj().T - np.eye(d))) > 1e-7:
+        if np.max(np.abs(U @ U.conj().T - np.eye(d))) > TOL_UNITARY:
             raise PhaseInstability("intertwiner is not proportional to unitary")
         tr = np.trace(U)
-        if abs(tr) > 1e-8 * d:
+        if abs(tr) > TOL_DEFECT * d:
             U = U * (np.conj(tr) / abs(tr))
         else:
             flat = U.reshape(-1)
-            idx = int(np.argmax(np.abs(flat) > 1e-6))
+            idx = int(np.argmax(np.abs(flat) > TOL_CHECK))
             e = flat[idx]
             U = U * (np.conj(e) / abs(e))
         T[t] = U
@@ -491,7 +492,7 @@ def factor_over_extension(X: ProjRep, ext: CliffordExtension,
     W = ProjRep(quot.group, b_table, Wm)
     # certify the factorization: X is isomorphic to Y tensor (inflated W)
     W_J = inflate_rep_on(Jg, W, quot)
-    dim, _ = intertwiner_space(tensor_reps(Y, W_J), X, tol=10 * TOL_CHECK)
+    dim, _ = intertwiner_space(tensor_reps(Y, W_J), X)
     if dim != 1:
         raise FactorizationFailure("tensor reconstruction is not isomorphic")
     return W

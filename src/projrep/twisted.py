@@ -8,6 +8,7 @@ Algebras are immutable; ``wedderburn`` is a pure function of (A, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +17,24 @@ from .cohomology import Cocycle
 from .errors import CrossCheckMismatch, DegreeNotIntegral, NumericDegeneracy
 from .groups import FiniteGroup, conjugacy_classes
 
-TOL_COCYCLE = 1e-12
-TOL_CLASS_SUM = 1e-9
-TOL_EIG_GAP = 1e-8
-TOL_RANK = 1e-8
-TOL_INT = 1e-6
+# Every numerical threshold of the package.  Degree integrality needs none:
+# a block rank is an integer, tested as an exact square.
+TOL_GAP = 1e-8       # relative to the spectrum: eigen-clusters and ranks
+TOL_DEFECT = 1e-8    # absolute: Hermitian, idempotent, rep and trace defects
+TOL_UNIT = 1e-9      # unit modulus, normalization and nonzero class sums
+TOL_COCYCLE = 1e-12  # per element: the multiplicative cocycle identity
+TOL_UNITARY = 1e-7   # a rescaled intertwiner is unitary
+TOL_CHECK = 1e-6     # table, character and residual comparisons
+
+TOLERANCES = {
+    "gap": TOL_GAP,
+    "defect": TOL_DEFECT,
+    "unit": TOL_UNIT,
+    "cocycle": TOL_COCYCLE,
+    "unitary": TOL_UNITARY,
+    "check": TOL_CHECK,
+}
+
 WEDDERBURN_RETRIES = 5
 
 
@@ -46,10 +60,10 @@ class TwistedAlgebra:
 
     def _validate(self) -> None:
         n = self.group.order
-        if np.max(np.abs(np.abs(self.table) - 1.0)) > 1e-9:
+        if np.max(np.abs(np.abs(self.table) - 1.0)) > TOL_UNIT:
             raise ValueError("cocycle values must have unit modulus")
-        if np.max(np.abs(self.table[0] - 1.0)) > 1e-9 or \
-                np.max(np.abs(self.table[:, 0] - 1.0)) > 1e-9:
+        if np.max(np.abs(self.table[0] - 1.0)) > TOL_UNIT or \
+                np.max(np.abs(self.table[:, 0] - 1.0)) > TOL_UNIT:
             raise ValueError("cocycle is not normalized")
         mul = self.group.mul
         lhs = self.table[:, :, None] * self.table[mul, :]
@@ -149,15 +163,14 @@ class RegularClassData:
         return [r.representative for r in self.records if r.c_regular]
 
 
-def c_regular_classes(A: TwistedAlgebra, tol: float = TOL_CLASS_SUM) -> RegularClassData:
+def c_regular_classes(A: TwistedAlgebra) -> RegularClassData:
     """Flag each class by its averaged twisted class sum being nonzero.
 
     Cross-checked against the centralizer criterion (twist 1 on all of
     C_G(x)); disagreement means the algebra data is inconsistent.
     """
-    key = ("c_regular", tol)
-    if key in A._cache:
-        return A._cache[key]
+    if "c_regular" in A._cache:
+        return A._cache["c_regular"]
     G = A.group
     records = []
     for cls in conjugacy_classes(G):
@@ -166,9 +179,9 @@ def c_regular_classes(A: TwistedAlgebra, tol: float = TOL_CLASS_SUM) -> RegularC
         vec = np.zeros(G.order, dtype=np.complex128)
         np.add.at(vec, xg, tw)
         vec /= cls.centralizer_order
-        nonzero = bool(np.max(np.abs(vec)) > tol)
+        nonzero = bool(np.max(np.abs(vec)) > TOL_UNIT)
         cent = np.nonzero(G.mul[:, x] == G.mul[x, :])[0]
-        by_centralizer = bool(np.max(np.abs(tw[cent] - 1.0)) < 1e-6)
+        by_centralizer = bool(np.max(np.abs(tw[cent] - 1.0)) < TOL_CHECK)
         if nonzero != by_centralizer:
             raise CrossCheckMismatch(
                 f"class-sum and centralizer criteria disagree at x={x}")
@@ -177,7 +190,7 @@ def c_regular_classes(A: TwistedAlgebra, tol: float = TOL_CLASS_SUM) -> RegularC
     data = RegularClassData(records=records)
     if not data.records[0].c_regular:
         raise CrossCheckMismatch("identity class must be c-regular")
-    A._cache[key] = data
+    A._cache["c_regular"] = data
     return data
 
 
@@ -205,7 +218,7 @@ def _center_dimension(A: TwistedAlgebra) -> int:
     M = np.concatenate(stacks, axis=0)
     s = np.linalg.svd(M, compute_uv=False)
     scale = max(1.0, float(s[0])) if s.size else 1.0
-    return int(np.sum(s < TOL_RANK * scale)) + G.order - len(s)
+    return int(np.sum(s < TOL_GAP * scale)) + G.order - len(s)
 
 
 @dataclass(frozen=True)
@@ -244,11 +257,11 @@ def wedderburn(A: TwistedAlgebra, seed: int = 0) -> WedderburnData:
         z = z + A.star(z)
         Z = A.action_matrix(z)
         herm_defect = np.max(np.abs(Z - Z.conj().T))
-        if herm_defect > 1e-8:
+        if herm_defect > TOL_DEFECT:
             raise CrossCheckMismatch("regular action of z + z* is not Hermitian")
         evals, evecs = np.linalg.eigh(Z)
         spread = max(evals[-1] - evals[0], 1.0)
-        clusters = _cluster(evals, TOL_EIG_GAP * spread)
+        clusters = _cluster(evals, TOL_GAP * spread)
         if len(clusters) != dim:
             last_error = NumericDegeneracy(
                 f"{len(clusters)} eigenvalue clusters for center of dim {dim}")
@@ -257,17 +270,17 @@ def wedderburn(A: TwistedAlgebra, seed: int = 0) -> WedderburnData:
         degrees = []
         for idx in clusters:
             rank = len(idx)
-            d = np.sqrt(rank)
-            if abs(d - round(d)) > TOL_INT:
+            d = math.isqrt(rank)
+            if d * d != rank:
                 raise DegreeNotIntegral(
                     f"block rank {rank} is not a perfect square")
-            degrees.append(int(round(d)))
+            degrees.append(d)
             P = evecs[:, idx] @ evecs[:, idx].conj().T
             idempotents.append(P[:, 0].copy())  # e = P applied to 1 sigma
         if sum(d * d for d in degrees) != n:
-            raise DegreeNotIntegral("degree formula failed after rounding")
+            raise DegreeNotIntegral("block degrees violate the degree formula")
         residual = _idempotent_residual(A, idempotents)
-        if residual > 1e-8:
+        if residual > TOL_DEFECT:
             last_error = NumericDegeneracy(
                 f"idempotent defect {residual:.2e}")
             continue

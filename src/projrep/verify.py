@@ -42,7 +42,6 @@ from .groups import (
 )
 from .reps import (
     ProjRep,
-    TOL_CHECK,
     clifford_extend,
     decompose,
     factor_over_extension,
@@ -56,7 +55,7 @@ from .reps import (
     split_regular,
     tensor_reps,
 )
-from .twisted import TwistedAlgebra, c_regular_classes, wedderburn
+from .twisted import TOL_CHECK, TwistedAlgebra, c_regular_classes, wedderburn
 
 
 class CoclassContext:
@@ -506,7 +505,7 @@ def decompose_along_series(V: ProjRep, terms: list[Subgroup],
                 f"{len(cands)} Clifford correspondents at step {i}")
         X = cands[0]
         back = induce_rep(X, J_next, A_cur)
-        dim, _ = intertwiner_space(back, W, tol=10 * TOL_CHECK)
+        dim, _ = intertwiner_space(back, W)
         if dim != 1:
             raise ReconstructionFailure(f"correspondent fails to induce back "
                                         f"at step {i}")
@@ -539,7 +538,7 @@ def decompose_along_series(V: ProjRep, terms: list[Subgroup],
                                     "from the restricted cocycle")
     rebased = ProjRep(Jf, exact, big.matrices, check=False)
     recon = induce_rep(rebased, J_final, ctx.algebra)
-    dim, _ = intertwiner_space(recon, V, tol=10 * TOL_CHECK)
+    dim, _ = intertwiner_space(recon, V)
     if dim != 1:
         raise ReconstructionFailure("induced tensor is not isomorphic to V")
     residual = max(drift, recon.defect(), rebased.defect())

@@ -29,10 +29,10 @@ from .groups import (
     build_group,
     default_pi_sets,
     is_solvable,
+    o_pi,
     prime_divisors,
 )
-from .reps import TOL_CHECK
-from .twisted import TOL_EIG_GAP, TOL_INT, TOL_RANK, wedderburn
+from .twisted import TOLERANCES, wedderburn
 from .verify import (
     CheckResult,
     CoclassContext,
@@ -48,13 +48,6 @@ from .verify import (
 CHECK_NAMES = ("basic", "ito-michler", "sylow-criterion", "pi-theorem",
                "clifford-laws", "a5-control", "decompose")
 
-DEFAULT_TOLERANCES = {
-    "check": TOL_CHECK,
-    "eigenvalue_gap": TOL_EIG_GAP,
-    "rank": TOL_RANK,
-    "integrality": TOL_INT,
-}
-
 
 @dataclass
 class RunConfig:
@@ -62,7 +55,6 @@ class RunConfig:
     checks: list[str] = field(default_factory=lambda: list(CHECK_NAMES))
     primes: list[int] | None = None
     pi_sets: list[PiSet] | None = None
-    tol: float = 1e-6
     seed: int = 0
     h2_cap: int = DEFAULT_H2_CAP
     order_cap: int = DEFAULT_ORDER_CAP
@@ -70,8 +62,6 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self) -> None:
-        if self.tol <= 0:
-            raise ConfigError("tolerance must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
         if self.h2_cap < 1 or self.order_cap < 1:
@@ -141,7 +131,6 @@ def _check_tasks(name: str, ctxs, config: RunConfig):
 
 def _clifford_check(ctx: CoclassContext) -> list[CheckResult]:
     """Clifford dimension laws over one normal core per prime."""
-    from .groups import o_pi
     G = ctx.group
     cores = []
     seen = set()
@@ -229,7 +218,7 @@ def write_reports(results: list[CheckResult], config: RunConfig) -> None:
         for r in results:
             record = r.to_dict()
             record["seed"] = config.seed
-            record["tolerances"] = DEFAULT_TOLERANCES | {"check": config.tol}
+            record["tolerances"] = TOLERANCES
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     counts: dict[tuple[str, str], dict[str, int]] = {}
     for r in results:
@@ -247,7 +236,7 @@ def write_reports(results: list[CheckResult], config: RunConfig) -> None:
 # -- single-shot reports ------------------------------------------------------
 
 
-def degrees_report(ctx: CoclassContext, tol: float = 1e-6) -> dict:
+def degrees_report(ctx: CoclassContext) -> dict:
     w = wedderburn(ctx.algebra, seed=ctx.seed)
     return {
         "group": ctx.group.name,
@@ -258,7 +247,7 @@ def degrees_report(ctx: CoclassContext, tol: float = 1e-6) -> dict:
         "seed": ctx.seed,
         "residual": w.residual,
         "cocycle_hash": ctx.cocycle.hash_hex(),
-        "tolerances": DEFAULT_TOLERANCES | {"check": tol},
+        "tolerances": dict(TOLERANCES),
     }
 
 

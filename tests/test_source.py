@@ -60,3 +60,24 @@ def test_multiplier_cached_only_by_its_solver():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if stores_schur(node) and id(node) not in solver]
     assert found == []
+
+
+def test_thresholds_only_in_the_tolerance_block():
+    # every numerical threshold is a TOL_ constant at the top of twisted.py,
+    # so the reported tolerance table is the one the checks use
+    def in_block(path, node):
+        return (path.name == "twisted.py" and isinstance(node, ast.Assign)
+                and all(isinstance(t, ast.Name) and t.id.startswith("TOL_")
+                        for t in node.targets))
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        block = {id(node) for stmt in tree.body if in_block(path, stmt)
+                 for node in ast.walk(stmt)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, float)
+                  and 0 < abs(node.value) < 1e-3
+                  and id(node) not in block]
+    assert found == []

@@ -13,10 +13,12 @@ from projrep.catalog import catalog, coclass_contexts, entry, get_group
 from projrep.cli import main
 from projrep.errors import ConfigError, ParseError, UnknownGroup
 from projrep.groups import is_solvable, is_p_solvable
-from projrep import workbench
+from projrep import twisted, workbench
+from projrep.twisted import TOLERANCES
 from projrep.workbench import (
     RunConfig,
     _worker_count,
+    degrees_report,
     export_group,
     parse_group_json,
     run,
@@ -141,8 +143,6 @@ def test_group_json_malformed():
 
 def test_run_config_validation():
     with pytest.raises(ConfigError):
-        RunConfig(tol=-1).validate()
-    with pytest.raises(ConfigError):
         RunConfig(checks=["nope"]).validate()
     RunConfig().validate()
 
@@ -157,6 +157,18 @@ def test_run_small_sweep(tmp_path):
     assert len(lines) == len(results)
     summary = (tmp_path / "r1" / "summary.csv").read_text()
     assert "S3,basic" in summary.replace('"', "")
+
+
+def test_reports_carry_the_tolerance_table(tmp_path):
+    # one entry per TOL_ constant, so no threshold goes unreported
+    names = {n for n in vars(twisted) if n.startswith("TOL_")}
+    assert {"TOL_" + key.upper() for key in TOLERANCES} == names
+    assert all(TOLERANCES[n[4:].lower()] == getattr(twisted, n) for n in names)
+    run(RunConfig(groups=["S3"], checks=["basic"], out=tmp_path))
+    for line in (tmp_path / "results.jsonl").read_text().splitlines():
+        assert json.loads(line)["tolerances"] == TOLERANCES
+    report = degrees_report(coclass_contexts("D4")[1])
+    assert report["tolerances"] == TOLERANCES
 
 
 def test_run_reports_byte_identical(tmp_path):
