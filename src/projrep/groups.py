@@ -330,33 +330,26 @@ class Subgroup:
             raise ValueError("subgroups must contain the identity")
         self.elements = el
         self.order = int(el.size)
-        self._cache: dict = {}
-        prods = parent.mul[np.ix_(el, el)]
-        if not np.isin(prods, el).all() or not np.isin(parent.inv[el], el).all():
+        m = np.zeros(parent.order, dtype=bool)
+        m[el] = True
+        if not m[parent.mul[np.ix_(el, el)]].all() or not m[parent.inv[el]].all():
             raise ValueError("index set is not closed")
         self.elements.setflags(write=False)
+        m.setflags(write=False)
+        self._cache: dict = {"mask": m}
 
     def contains(self, g: int) -> bool:
         return bool(self.mask()[g])
 
     def mask(self) -> np.ndarray:
-        if "mask" not in self._cache:
-            m = np.zeros(self.parent.order, dtype=bool)
-            m[self.elements] = True
-            m.setflags(write=False)
-            self._cache["mask"] = m
         return self._cache["mask"]
 
     def is_normal(self) -> bool:
         if "normal" not in self._cache:
-            G, m = self.parent, self.mask()
-            ok = True
-            for g in range(G.order):
-                conj = G.mul[G.mul[G.inv[g], self.elements], g]
-                if not m[conj].all():
-                    ok = False
-                    break
-            self._cache["normal"] = ok
+            G = self.parent
+            g = np.arange(G.order)[:, None]
+            conj = G.mul[G.mul[G.inv[g], self.elements], g]
+            self._cache["normal"] = bool(self.mask()[conj].all())
         return self._cache["normal"]
 
     def as_group(self) -> FiniteGroup:
@@ -612,16 +605,9 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> Quotient:
     """
     if not N.is_normal():
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
-    n = G.order
-    proj = np.full(n, -1, dtype=np.int64)
-    section = []
-    for g in range(n):
-        if proj[g] >= 0:
-            continue
-        members = G.mul[g, N.elements]
-        proj[members] = len(section)
-        section.append(g)
-    section = np.array(section, dtype=np.int64)
+    first = G.mul[:, N.elements].min(axis=1)
+    section = np.unique(first)
+    proj = np.searchsorted(section, first)
     mul_q = proj[G.mul[np.ix_(section, section)]]
     Qg = _derived_group(mul_q, f"{G.name}/{N.order}")
     return Quotient(group=Qg, projection=proj, section=section)

@@ -56,14 +56,13 @@ class ProjRep:
         self.matrices.setflags(write=False)
 
     def _validate(self) -> None:
-        d = self.degree
-        eye = np.eye(d)
+        eye = np.eye(self.degree)
         if np.max(np.abs(self.matrices[0] - eye)) > TOL_DEFECT:
             raise ValueError("phi(1) is not the identity")
-        for g in range(self.group.order):
-            M = self.matrices[g]
-            if np.max(np.abs(M @ M.conj().T - eye)) > TOL_DEFECT:
-                raise ValueError(f"phi({g}) is not unitary")
+        M = self.matrices
+        resid = np.abs(M @ M.conj().transpose(0, 2, 1) - eye).max(axis=(1, 2))
+        if (resid > TOL_DEFECT).any():
+            raise ValueError(f"phi({np.argmax(resid > TOL_DEFECT)}) is not unitary")
         # phi(g) phi(y) = a(g,y) phi(gy) on generators suffices: the relation
         # propagates to products of generators through the cocycle identity
         if self.defect() > TOL_DEFECT:
@@ -191,9 +190,8 @@ def split_regular(A: TwistedAlgebra, seed: int = 0) -> list[ProjRep]:
 def _right_action_matrix(A: TwistedAlgebra, v: np.ndarray) -> np.ndarray:
     n = A.group.order
     M = np.zeros((n, n), dtype=np.complex128)
-    h = np.arange(n)
-    for g in np.nonzero(np.abs(v) > 0)[0]:
-        M[A.group.mul[h, g], h] += v[g] * A.table[h, g]
+    g = np.nonzero(np.abs(v) > 0)[0]
+    M[A.group.mul[:, g].T, np.arange(n)] += v[g, None] * A.table[:, g].T
     return M
 
 
@@ -214,14 +212,8 @@ def _split_block(A: TwistedAlgebra, V: np.ndarray, degree: int,
             last = NumericDegeneracy(f"eigenspace of dim {k}, expected {degree}")
             continue
         W, _ = np.linalg.qr(V @ evecs[:, :degree])
-        mats = np.empty((n, degree, degree), dtype=np.complex128)
-        for g in range(n):
-            LgW = np.zeros((n, degree), dtype=np.complex128)
-            h = np.arange(n)
-            LgW[A.group.mul[g, h]] = A.table[g, h][:, None] * W[h]
-            mats[g] = W.conj().T @ LgW
         try:
-            rep = ProjRep(A.group, A.table, mats)
+            rep = ProjRep(A.group, A.table, _compress_left_action(A, W))
         except ValueError as exc:
             last = NumericDegeneracy(str(exc))
             continue
@@ -230,6 +222,14 @@ def _split_block(A: TwistedAlgebra, V: np.ndarray, degree: int,
             continue
         return rep
     raise last or NumericDegeneracy("block split failed")
+
+
+def _compress_left_action(A: TwistedAlgebra, W: np.ndarray) -> np.ndarray:
+    """W^H L_g W for every g: the left regular action compressed to span W."""
+    n = A.group.order
+    LW = np.empty((n, n, W.shape[1]), dtype=np.complex128)  # LW[g] = L_g W
+    LW[np.arange(n)[:, None], A.group.mul] = A.table[:, :, None] * W
+    return W.conj().T @ LW
 
 
 @dataclass(frozen=True)
@@ -299,20 +299,27 @@ def decompose(r: ProjRep, seed: int = 0) -> list[Constituent]:
     raise last or NumericDegeneracy("decompose failed")
 
 
+def _scalar_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, rounded like a product of two numpy complex scalars
+    (numpy's array loop may fuse multiply and add; its scalar product does not).
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def conjugate_rep(r: ProjRep, N: Subgroup, g: int, A: TwistedAlgebra) -> ProjRep:
     """x -> twist(x, g) phi(x^g): the conjugate over the same cocycle."""
     G = A.group
     if N.parent is not G:
         raise ValueError("subgroup of a different group")
     el = N.elements
-    pos = N.positions()
-    mats = np.empty_like(r.matrices)
-    for i, x in enumerate(el):
-        xg = G.conj(int(x), g)
-        if pos[xg] < 0:
-            raise NotNormal("conjugation leaves the subgroup")
-        tw = A.table[x, g] * np.conj(A.table[g, xg])
-        mats[i] = tw * r.matrices[pos[xg]]
+    xg = G.mul[G.mul[G.inv[g], el], g]
+    if not N.mask()[xg].all():
+        raise NotNormal("conjugation leaves the subgroup")
+    tw = _scalar_product(A.table[el, g], np.conj(A.table[g, xg]))
+    mats = tw[:, None, None] * r.matrices[N.positions()[xg]]
     return ProjRep(r.group, r.table, mats, check=False)
 
 
@@ -325,21 +332,17 @@ def transport_rep(r: ProjRep, H: Subgroup, g: int,
                   A: TwistedAlgebra) -> tuple[ProjRep, Subgroup]:
     """Move a representation of H to one of H^g = g^-1 H g.
 
-    y -> twist(x, g) phi(x) for x = y^(g^-1); the result lives over the
+    y -> conj(twist(x, g)) phi(x) for x = y^(g^-1), since g sigma y sigma
+    (g sigma)^-1 = conj(twist(x, g)) x sigma; the result lives over the
     restricted cocycle of the conjugate subgroup.
     """
     G = A.group
-    target = sorted(G.conj(int(x), g) for x in H.elements)
-    Ht = Subgroup(G, target)
-    posH = H.positions()
-    d = r.degree
-    mats = np.empty((Ht.order, d, d), dtype=np.complex128)
-    for j, y in enumerate(Ht.elements):
-        x = G.conj(int(y), int(G.inv[g]))
-        tw = A.table[x, g] * np.conj(A.table[g, y])
-        mats[j] = tw * r.matrices[posH[x]]
-    el = Ht.elements
-    return ProjRep(Ht.as_group(), A.table[np.ix_(el, el)], mats), Ht
+    Ht = Subgroup(G, G.mul[G.mul[G.inv[g], H.elements], g])
+    y = Ht.elements
+    x = G.mul[G.mul[g, y], G.inv[g]]  # y^(g^-1)
+    tw = _scalar_product(np.conj(A.table[x, g]), A.table[g, y])
+    mats = tw[:, None, None] * r.matrices[H.positions()[x]]
+    return ProjRep(Ht.as_group(), A.table[np.ix_(y, y)], mats), Ht
 
 
 def inertia_group(r: ProjRep, N: Subgroup, A: TwistedAlgebra) -> Subgroup:
@@ -376,27 +379,18 @@ class CliffordExtension:
     b_table: np.ndarray
 
 
-def clifford_extend(r: ProjRep, N: Subgroup, J: Subgroup,
-                    A: TwistedAlgebra) -> CliffordExtension:
-    """Extend the invariant irreducible r of N to its inertia group J.
+def _coset_intertwiners(r: ProjRep, N: Subgroup, quot: Quotient,
+                        A: TwistedAlgebra) -> np.ndarray:
+    """T_t for each coset representative t of quot, in section order.
 
-    Y(n t) = conj(a(n,t)) phi(n) T_t with T_t a phase-fixed unitary
-    intertwiner from r to its t^-1-conjugate; this choice makes the
-    obstruction delta exactly trivial on N in both arguments.
+    T_t is a unitary intertwiner from r to its t^-1-conjugate, its phase
+    fixed by a positive trace (else a positive first entry); T_1 = 1.
     """
-    G = A.group
-    Jg = J.as_group()
-    jtab = A.table[np.ix_(J.elements, J.elements)]
-    A_J = TwistedAlgebra(Jg, jtab, check=False)
-    n_in_j = Subgroup(Jg, J.positions()[N.elements])
-    if not np.array_equal(n_in_j.as_group().mul, r.group.mul):
-        raise ValueError("restricted subgroup does not match the rep's group")
-    quot = quotient_group(Jg, n_in_j)
     d = r.degree
-    transversal = [int(t) for t in quot.section]
-    T: dict[int, np.ndarray] = {0: np.eye(d, dtype=np.complex128)}
-    for t in transversal[1:]:
-        conj = conjugate_rep(r, n_in_j, int(Jg.inv[t]), A_J)
+    T = np.empty((quot.section.size, d, d), dtype=np.complex128)
+    T[0] = np.eye(d)
+    for k, t in enumerate(quot.section[1:].tolist(), 1):
+        conj = conjugate_rep(r, N, int(A.group.inv[t]), A)
         dim, basis = intertwiner_space(r, conj)
         if dim != 1:
             raise InertiaMismatch(f"no intertwiner at coset rep {t}")
@@ -413,24 +407,39 @@ def clifford_extend(r: ProjRep, N: Subgroup, J: Subgroup,
             idx = int(np.argmax(np.abs(flat) > TOL_CHECK))
             e = flat[idx]
             U = U * (np.conj(e) / abs(e))
-        T[t] = U
-    npos = n_in_j.positions()
-    mats = np.empty((Jg.order, d, d), dtype=np.complex128)
-    for j in range(Jg.order):
-        t = transversal[int(quot.projection[j])]
-        nn = int(Jg.mul[j, Jg.inv[t]])
-        mats[j] = np.conj(jtab[nn, t]) * (r.matrices[npos[nn]] @ T[t])
+        T[k] = U
+    return T
+
+
+def clifford_extend(r: ProjRep, N: Subgroup, J: Subgroup,
+                    A: TwistedAlgebra) -> CliffordExtension:
+    """Extend the invariant irreducible r of N to its inertia group J.
+
+    Y(n t) = conj(a(n,t)) phi(n) T_t with T_t a phase-fixed unitary
+    intertwiner from r to its t^-1-conjugate; this choice makes the
+    obstruction delta exactly trivial on N in both arguments.
+    """
+    Jg = J.as_group()
+    jtab = A.table[np.ix_(J.elements, J.elements)]
+    n_in_j = Subgroup(Jg, J.positions()[N.elements])
+    if not np.array_equal(n_in_j.as_group().mul, r.group.mul):
+        raise ValueError("restricted subgroup does not match the rep's group")
+    quot = quotient_group(Jg, n_in_j)
+    d = r.degree
+    T = _coset_intertwiners(r, n_in_j, quot, TwistedAlgebra(Jg, jtab, check=False))
+    tj = quot.section[quot.projection]  # the coset representative of each j
+    nn = Jg.mul[np.arange(Jg.order), Jg.inv[tj]]
+    mats = np.conj(jtab[nn, tj])[:, None, None] * \
+        (r.matrices[n_in_j.positions()[nn]] @ T[quot.projection])
     # read beta from Y(g) Y(h) = beta Y(gh)
-    nj = Jg.order
-    beta = np.empty((nj, nj), dtype=np.complex128)
-    for g in range(nj):
-        prod = mats[g] @ mats
-        targets = mats[Jg.mul[g]]
-        scal = np.einsum("gab,gab->g", prod, targets.conj()) / d
-        resid = np.max(np.abs(prod - scal[:, None, None] * targets))
-        if resid > TOL_CHECK * d:
-            raise PhaseInstability(f"product at {g} is not a scalar multiple")
-        beta[g] = scal / np.abs(scal)
+    prod = mats[:, None] @ mats[None]
+    targets = mats[Jg.mul]
+    scal = np.einsum("ghab,ghab->gh", prod, targets.conj()) / d
+    resid = np.abs(prod - scal[:, :, None, None] * targets).max(axis=(1, 2, 3))
+    if (resid > TOL_CHECK * d).any():
+        g = int(np.argmax(resid > TOL_CHECK * d))
+        raise PhaseInstability(f"product at {g} is not a scalar multiple")
+    beta = scal / np.abs(scal)
     Y = ProjRep(Jg, beta, mats, check=False)
     if Y.defect() > TOL_CHECK:
         raise PhaseInstability("extension violates its own cocycle")
@@ -504,23 +513,20 @@ def induce_rep(r: ProjRep, H: Subgroup, A: TwistedAlgebra) -> ProjRep:
     if H.parent is not G:
         raise ValueError("subgroup of a different group")
     n = G.order
-    coset_of = np.full(n, -1, dtype=np.int64)
-    reps: list[int] = []
-    for g in range(n):
-        if coset_of[g] >= 0:
-            continue
-        coset_of[G.mul[g, H.elements]] = len(reps)
-        reps.append(g)
-    k = len(reps)
+    # each coset gH is represented by its minimal element
+    first = G.mul[:, H.elements].min(axis=1)
+    reps = np.unique(first)
+    coset_of = np.searchsorted(reps, first)
+    k = reps.size
     d = r.degree
-    pos = H.positions()
-    mats = np.zeros((n, k * d, k * d), dtype=np.complex128)
-    for g in range(n):
-        for j, tj in enumerate(reps):
-            gt = int(G.mul[g, tj])
-            i = int(coset_of[gt])
-            h = int(G.mul[G.inv[reps[i]], gt])
-            scal = A.table[g, tj] * np.conj(A.table[reps[i], h])
-            mats[g, i * d:(i + 1) * d, j * d:(j + 1) * d] = \
-                scal * r.matrices[pos[h]]
-    return ProjRep(G, A.table, mats)
+    # block (i, j) of g is scal * r(h), where g t_j = t_i h
+    gt = G.mul[:, reps]
+    i = coset_of[gt]
+    ti = reps[i]
+    h = G.mul[G.inv[ti], gt]
+    scal = _scalar_product(A.table[:, reps], np.conj(A.table[ti, h]))
+    mats = np.zeros((n, k, d, k, d), dtype=np.complex128)
+    mats[np.arange(n)[:, None], i, :, np.arange(k), :] = \
+        scal[:, :, None, None] * r.matrices[H.positions()[h]]
+    return ProjRep(G, A.table, mats.reshape(n, k * d, k * d))
+

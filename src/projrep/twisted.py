@@ -94,16 +94,18 @@ class TwistedAlgebra:
         """Left multiplication by the algebra element with coefficients v."""
         n = self.group.order
         M = np.zeros((n, n), dtype=np.complex128)
-        for g in np.nonzero(np.abs(v) > 0)[0]:
-            M[self.group.mul[g], np.arange(n)] += v[g] * self.table[g]
+        g = np.nonzero(np.abs(v) > 0)[0]
+        # column h meets each g in a different row, so no entry sums terms
+        M[self.group.mul[g], np.arange(n)] += v[g, None] * self.table[g]
         return M
 
     def multiply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Product of two coefficient vectors."""
-        n = self.group.order
-        out = np.zeros(n, dtype=np.complex128)
-        for g in np.nonzero(np.abs(u) > 0)[0]:
-            np.add.at(out, self.group.mul[g], u[g] * self.table[g] * v)
+        out = np.zeros(self.group.order, dtype=np.complex128)
+        g = np.nonzero(np.abs(u) > 0)[0]
+        # ufunc.at adds in index order: each entry sums its terms by rising g
+        np.add.at(out, self.group.mul[g].ravel(),
+                  (u[g, None] * self.table[g] * v).ravel())
         return out
 
     def star(self, v: np.ndarray) -> np.ndarray:

@@ -475,21 +475,19 @@ def decompose_along_series(V: ProjRep, terms: list[Subgroup],
     G = ctx.group
     if not is_irreducible(V):
         raise ValueError("input representation must be irreducible")
-    term_sets = [set(int(v) for v in T.elements) for T in terms]
-    if not term_sets or term_sets[-1] != set(range(G.order)):
+    if not terms or not np.array_equal(terms[-1].elements, np.arange(G.order)):
         raise ValueError("series must end at the full group")
     Jg = G
     emb = np.arange(G.order)
     btab = ctx.algebra.table
     W = V
     stored: list[tuple[ProjRep, np.ndarray]] = []
-    for i, nset in enumerate(term_sets):
-        last = i == len(term_sets) - 1
+    for i, T in enumerate(terms):
+        last = i == len(terms) - 1
         if last:
             stored.append((W, emb))
             break
-        local = [j for j in range(Jg.order) if int(emb[j]) in nset]
-        M = Subgroup(Jg, local)
+        M = Subgroup(Jg, np.nonzero(T.mask()[emb])[0])
         A_cur = TwistedAlgebra(Jg, btab, check=False)
         resW = restrict_rep(W, M)
         cons = decompose(resW, seed=ctx.seed)
