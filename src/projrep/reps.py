@@ -384,7 +384,8 @@ def _coset_intertwiners(r: ProjRep, N: Subgroup, quot: Quotient,
     """T_t for each coset representative t of quot, in section order.
 
     T_t is a unitary intertwiner from r to its t^-1-conjugate, its phase
-    fixed by a positive trace (else a positive first entry); T_1 = 1.
+    fixed by a positive trace (else by its first entry above TOL_CHECK in
+    modulus); T_1 = 1.
     """
     d = r.degree
     T = np.empty((quot.section.size, d, d), dtype=np.complex128)
