@@ -231,21 +231,19 @@ def get_group(name: str) -> FiniteGroup:
     return _GROUPS[name]
 
 
-def coclass_contexts(name: str, h2_cap: int = DEFAULT_H2_CAP,
-                     seed: int = 0) -> list[CoclassContext]:
+def coclass_contexts(name: str,
+                     h2_cap: int = DEFAULT_H2_CAP) -> list[CoclassContext]:
     """group_contexts of the catalog group called name."""
-    return group_contexts(get_group(name), h2_cap=h2_cap, seed=seed)
+    return group_contexts(get_group(name), h2_cap=h2_cap)
 
 
-def group_contexts(G: FiniteGroup, h2_cap: int = DEFAULT_H2_CAP,
-                   seed: int = 0) -> list[CoclassContext]:
+def group_contexts(G: FiniteGroup,
+                   h2_cap: int = DEFAULT_H2_CAP) -> list[CoclassContext]:
     """One context per coclass of G, lexicographic over the basis.
 
     Groups over the multiplier cap yield only the trivial coclass.
     """
     if G.order > h2_cap:
-        return [CoclassContext(G, trivial_cocycle(G), label="trivial",
-                               seed=seed)]
-    return [CoclassContext(G, c.representative, label=c.label(), seed=seed,
-                           coclass=c)
+        return [CoclassContext(G, trivial_cocycle(G), label="trivial")]
+    return [CoclassContext(G, c.representative, label=c.label(), coclass=c)
             for c in schur_multiplier(G, cap=h2_cap).coclasses()]

@@ -134,47 +134,19 @@ def kernel_mod_prime_power(M: np.ndarray, p: int, k: int) -> list[np.ndarray]:
 
 
 def solve_mod_prime_power(M: np.ndarray, t: np.ndarray, p: int, k: int):
-    """One solution of M u = t mod p^k, or None if inconsistent."""
+    """One solution of M u = t mod p^k, or None if inconsistent.
+
+    Read off the kernel of [M | -t]: (u, 1) lies in it exactly when u is a
+    solution, so some kernel generator w has a unit last entry iff one
+    exists, and then u = w[:-1] / w[-1].
+    """
     q = p**k
-    M = np.asarray(M, dtype=np.int64) % q
-    t = np.asarray(t, dtype=np.int64) % q
-    aug = np.concatenate([M, t[:, None]], axis=1)
-    R, pivots = _rref_mod_p(aug, p)
-    last = M.shape[1]
-    if any(c == last for _, c in pivots):
-        return None
-    u1 = np.zeros(last, dtype=np.int64)
-    for r, c in pivots:
-        u1[c] = R[r, last]
-    if k == 1:
-        return u1
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(last) if c not in pivot_cols]
-    basis = []
-    for f in free:
-        v = np.zeros(last, dtype=np.int64)
-        v[f] = 1
-        for r, c in pivots:
-            v[c] = (-int(R[r, f])) % p
-        basis.append(v)
-    resid = t - M @ u1
-    if np.any(resid % p):
-        raise CrossCheckMismatch("solution mod p does not solve the system")
-    t1 = resid // p
-    if basis:
-        K = np.stack(basis, axis=1)
-        Mrec = np.concatenate([(M @ K) // p, M], axis=1)
-        sub = solve_mod_prime_power(Mrec, t1, p, k - 1)
-        if sub is None:
-            return None
-        kappa = K.shape[1]
-        u = u1 + K @ sub[:kappa] + p * sub[kappa:]
-    else:
-        sub = solve_mod_prime_power(M, t1, p, k - 1)
-        if sub is None:
-            return None
-        u = u1 + p * sub
-    return u % q
+    aug = np.concatenate([np.asarray(M, dtype=np.int64),
+                          -np.asarray(t, dtype=np.int64)[:, None]], axis=1)
+    for w in kernel_mod_prime_power(aug, p, k):
+        if w[-1] % p:
+            return (w[:-1] * pow(int(w[-1]), -1, q)) % q
+    return None
 
 
 def smith_mod_prime_power(P: np.ndarray, p: int, k: int, rows: int):
@@ -271,11 +243,6 @@ class Cocycle:
     def power(self, k: int) -> "Cocycle":
         return Cocycle(self.group, self.modulus, (k * self.table) % self.modulus,
                        check=False)
-
-    def with_modulus(self, m: int) -> "Cocycle":
-        if m % self.modulus:
-            raise ModulusMismatch(f"{self.modulus} does not divide {m}")
-        return Cocycle(self.group, m, self.table * (m // self.modulus), check=False)
 
     def mul(self, other: "Cocycle") -> "Cocycle":
         if other.group is not self.group:
@@ -572,7 +539,9 @@ class SchurMultiplier:
         """Exponent vector of a valid cocycle table over the basis.
 
         Solves  table = sum_i e_i basis_i + coboundary + carries  one prime
-        at a time and combines the exponents by CRT.
+        at a time and combines the exponents by CRT.  With M = q r, q the
+        p-part of the common modulus, the p-component of exp(2 pi i t / M)
+        is exp(2 pi i t r^-1 / q), so the target is t r^-1 mod q.
         """
         G = self.group
         n = G.order
@@ -600,7 +569,8 @@ class SchurMultiplier:
                     cols.append(carry[:, None])
             A = np.concatenate([c if c.ndim == 2 else c[:, None] for c in cols],
                                axis=1)
-            sol = solve_mod_prime_power(A, t_flat, p, e)
+            sol = solve_mod_prime_power(A, t_flat * pow(M_all // q, -1, q),
+                                        p, e)
             if sol is None:
                 raise ModulusMismatch(
                     f"table is not a {G.name} cocycle class over the basis")
@@ -798,10 +768,9 @@ def pi_part(c: Coclass, pi) -> tuple[Coclass, Coclass]:
     return c_pi, c_rest
 
 
-def cocycle_from_extension(E: FiniteGroup, Z: Subgroup,
-                           section: np.ndarray | None = None
-                           ) -> tuple[Cocycle, Quotient]:
-    """The cocycle of E/Z defined by a transversal of a central cyclic Z.
+def cocycle_from_extension(E: FiniteGroup,
+                           Z: Subgroup) -> tuple[Cocycle, Quotient]:
+    """The cocycle of E/Z for a central cyclic Z, over the quotient's section.
 
     a(x, y) is the discrete log of s(x) s(y) s(xy)^-1 against a fixed
     generator of Z.
@@ -812,13 +781,7 @@ def cocycle_from_extension(E: FiniteGroup, Z: Subgroup,
     if gen is None:
         raise NotCyclic(f"central subgroup of order {Z.order} is not cyclic")
     quot = quotient_group(E, Z)
-    if section is None:
-        section = quot.section
-    else:
-        section = np.asarray(section, dtype=np.int64)
-        if not np.array_equal(quot.projection[section],
-                              np.arange(quot.group.order)):
-            raise ValueError("section is not a transversal")
+    section = quot.section
     dlog = {}
     z = 0
     for j in range(Z.order):

@@ -22,7 +22,11 @@ class NotPiSeparable(ProjrepError):
 
 
 class ComplementSearchExhausted(ProjrepError):
-    """Hall complement search ran out of retries (cap too low)."""
+    """The Sylow/Hall search found no pi-element that extends its subgroup.
+
+    This cannot happen in a pi-separable group (or for a single prime); it
+    guards the search against a group where the containment theorem fails.
+    """
 
 
 class ModulusMismatch(ProjrepError):

@@ -32,9 +32,6 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 200
 
-_HALL_SEED = 1729
-_HALL_RETRIES = 500
-
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (orders are tiny)."""
@@ -82,9 +79,6 @@ class PiSet:
 
     def is_pi_number(self, n: int) -> bool:
         return self.part(n) == n
-
-    def is_pi_prime_number(self, n: int) -> bool:
-        return self.part(n) == 1
 
     def complement_in(self, n: int) -> "PiSet":
         """Complement relative to the primes dividing n."""
@@ -508,51 +502,43 @@ def is_solvable(G: FiniteGroup) -> bool:
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup, by normalizer climbing from a p-element."""
+    """A Sylow p-subgroup, by the greedy pi-subgroup search for pi = {p}.
+
+    The search is complete because every p-subgroup lies in a Sylow
+    p-subgroup (Sylow's theorem).
+    """
     key = ("sylow", p)
-    if key in G._cache:
-        return G._cache[key]
-    P = _sylow_uncached(G, p)
-    G._cache[key] = P
-    return P
+    if key not in G._cache:
+        G._cache[key] = _grow_pi_subgroup(G, PiSet([p]))
+    return G._cache[key]
 
 
-def _sylow_uncached(G: FiniteGroup, p: int) -> Subgroup:
-    target = PiSet([p]).part(G.order)
-    P = G.trivial_subgroup()
-    if target == 1:
-        return P
+def _grow_pi_subgroup(G: FiniteGroup, pi: PiSet) -> Subgroup:
+    """A pi-subgroup of order |G|_pi, grown from the trivial subgroup.
+
+    Each step adds the first pi-element, by ascending index, whose closure
+    with the current subgroup is still a pi-group.  Such an element exists
+    whenever every pi-subgroup lies in one of order |G|_pi: an element of
+    that larger subgroup outside the current one extends it.  The callers
+    state why their groups have that property.
+    """
+    target = pi.part(G.order)
     orders = G.element_orders()
-    is_p_elem = np.array([_is_prime_power(int(o), p) for o in orders])
-    while P.order < target:
-        N = normalizer(G, P)
-        cand = [y for y in N.elements
-                if is_p_elem[y] and not P.contains(int(y))]
-        grown = False
-        for y in cand:
-            # y normalizes P and is a p-element, so <P, y> is a p-group
-            P = Subgroup(G, closure(G, list(P.elements) + [int(y)]))
-            grown = True
-            break
-        if not grown:
-            # exhaustive fallback: any p-element extending P inside a p-group
-            for y in np.nonzero(is_p_elem)[0]:
-                if P.contains(int(y)):
-                    continue
-                C = closure(G, list(P.elements) + [int(y)])
-                if _is_prime_power(C.size, p):
-                    P = Subgroup(G, C)
-                    grown = True
-                    break
-            if not grown:
-                raise RuntimeError("Sylow climb stalled")  # impossible
-    return P
-
-
-def _is_prime_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+    pi_elems = [g for g in range(1, G.order) if pi.is_pi_number(int(orders[g]))]
+    gens: list[int] = []
+    current = closure(G, gens)
+    while current.size < target:
+        for y in pi_elems:
+            trial = closure(G, gens + [y])
+            if trial.size > current.size and pi.is_pi_number(trial.size):
+                break
+        else:
+            raise ComplementSearchExhausted(
+                f"no {pi.label()}-element extends a subgroup of order "
+                f"{current.size} in {G.name}")
+        gens.append(y)
+        current = trial
+    return Subgroup(G, current)
 
 
 def o_pi(G: FiniteGroup, pi: PiSet) -> Subgroup:
@@ -628,10 +614,6 @@ class NormalSeries:
     factor_pi_tags: list[str]
     reaches_group: bool = True
 
-    @property
-    def length(self) -> int:
-        return len(self.terms)
-
 
 _TAGS = ("pi", "pi_prime")
 
@@ -696,68 +678,18 @@ def is_p_solvable(G: FiniteGroup, p: int) -> bool:
 
 
 def hall_subgroup(G: FiniteGroup, pi: PiSet) -> Subgroup:
-    """A Hall pi-subgroup of a pi-separable group.
+    """A Hall pi-subgroup of a pi-separable group, by the greedy search.
 
-    Recursion along the pi-series: pull a Hall subgroup of G/O_pi(G) back;
-    when O_pi(G) = 1 the pullback K through O_pi'(G) needs a complement,
-    found by randomized probing over pi-elements with an exhaustive
-    deterministic fallback.
+    The search is complete because in a pi-separable group every
+    pi-subgroup lies in a Hall pi-subgroup (Cunihin's extension of
+    P. Hall's theorem).
     """
     if not is_pi_separable(G, pi):
         raise NotPiSeparable(f"{G.name} is not {pi.label()}-separable")
     key = ("hall", tuple(sorted(pi.primes)))
     if key not in G._cache:
-        G._cache[key] = _hall_rec(G, pi)
+        G._cache[key] = _grow_pi_subgroup(G, pi)
     return G._cache[key]
-
-
-def _hall_rec(G: FiniteGroup, pi: PiSet) -> Subgroup:
-    target = pi.part(G.order)
-    if target == G.order:
-        return G.full_subgroup()
-    if target == 1:
-        return G.trivial_subgroup()
-    N1 = o_pi(G, pi)
-    if N1.order > 1:
-        quot = quotient_group(G, N1)
-        return preimage(G, quot, _hall_rec(quot.group, pi))
-    N = o_pi(G, pi.complement_in(G.order))
-    if N.order == 1:
-        raise NotPiSeparable(f"{G.name} has trivial O_pi and O_pi' "
-                             f"for pi={pi.label()}")
-    quot = quotient_group(G, N)
-    K = preimage(G, quot, _hall_rec(quot.group, pi))
-    return _hall_complement(G, K, pi, target)
-
-
-def _hall_complement(G: FiniteGroup, K: Subgroup, pi: PiSet, target: int) -> Subgroup:
-    """Grow a Hall pi-subgroup of K over its pi-elements."""
-    orders = G.element_orders()
-    pi_elems = [int(y) for y in K.elements if pi.is_pi_number(int(orders[y]))]
-    rng = np.random.default_rng(_HALL_SEED + G.order)
-    current = [0]
-    size = 1
-    retries = 0
-    while size < target:
-        cand = [y for y in pi_elems if y not in set(current)]
-        grown = False
-        while retries < _HALL_RETRIES and cand:
-            y = int(cand[rng.integers(len(cand))])
-            trial = closure(G, current + [y])
-            if pi.is_pi_number(trial.size):
-                current, size, grown = list(trial), trial.size, True
-                break
-            retries += 1
-        if not grown:
-            for y in cand:  # exhaustive fallback, ascending
-                trial = closure(G, current + [y])
-                if pi.is_pi_number(trial.size):
-                    current, size, grown = list(trial), trial.size, True
-                    break
-            if not grown:
-                raise ComplementSearchExhausted(
-                    f"no Hall {pi.label()}-complement found in {G.name}")
-    return Subgroup(G, current)
 
 
 def hall_higman_check(G: FiniteGroup, p: int) -> bool:

@@ -161,9 +161,11 @@ def character(r: ProjRep, regular: RegularClassData | None = None) -> np.ndarray
 
 
 def _character_key(r: ProjRep) -> tuple:
+    """Character values in units of TOL_CHECK, as integers."""
     classes = conjugacy_classes(r.group)
     chi = [np.trace(r.matrices[c.representative]) for c in classes]
-    return tuple((round(v.real, 6) + 0.0, round(v.imag, 6) + 0.0) for v in chi)
+    return tuple((round(v.real / TOL_CHECK), round(v.imag / TOL_CHECK))
+                 for v in chi)
 
 
 def split_regular(A: TwistedAlgebra, seed: int = 0) -> list[ProjRep]:
@@ -412,6 +414,26 @@ def _coset_intertwiners(r: ProjRep, N: Subgroup, quot: Quotient,
     return T
 
 
+def _obstruction(table: np.ndarray, beta: np.ndarray, n_in_j: Subgroup,
+                 quot: Quotient, error: type[Exception]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """delta = table / beta and its read-out on the quotient's section.
+
+    delta must be an exact inflation from J/N: 1 on N in both arguments and
+    constant on cosets; otherwise ``error`` is raised.
+    """
+    delta = table * np.conj(beta)
+    nel = n_in_j.elements
+    if np.max(np.abs(delta[nel, :] - 1)) > TOL_CHECK or \
+            np.max(np.abs(delta[:, nel] - 1)) > TOL_CHECK:
+        raise error("obstruction is not trivial on the base subgroup")
+    b_table = delta[np.ix_(quot.section, quot.section)]
+    spread = np.abs(delta - b_table[np.ix_(quot.projection, quot.projection)])
+    if np.max(spread) > TOL_CHECK:
+        raise error("obstruction is not constant on cosets")
+    return delta, b_table
+
+
 def clifford_extend(r: ProjRep, N: Subgroup, J: Subgroup,
                     A: TwistedAlgebra) -> CliffordExtension:
     """Extend the invariant irreducible r of N to its inertia group J.
@@ -444,15 +466,7 @@ def clifford_extend(r: ProjRep, N: Subgroup, J: Subgroup,
     Y = ProjRep(Jg, beta, mats, check=False)
     if Y.defect() > TOL_CHECK:
         raise PhaseInstability("extension violates its own cocycle")
-    delta = jtab * np.conj(beta)
-    nmask = n_in_j.elements
-    if np.max(np.abs(delta[nmask, :] - 1)) > TOL_CHECK or \
-            np.max(np.abs(delta[:, nmask] - 1)) > TOL_CHECK:
-        raise PhaseInstability("obstruction is not trivial on the base subgroup")
-    b_table = delta[np.ix_(quot.section, quot.section)]
-    spread = np.abs(delta - b_table[np.ix_(quot.projection, quot.projection)])
-    if np.max(spread) > TOL_CHECK:
-        raise PhaseInstability("obstruction is not constant on cosets")
+    delta, b_table = _obstruction(jtab, beta, n_in_j, quot, PhaseInstability)
     return CliffordExtension(base=r, inertia=J, n_in_j=n_in_j, extension=Y,
                              beta=beta, delta=delta, quotient=quot,
                              b_table=b_table)
@@ -464,8 +478,7 @@ def inflate_rep_on(G: FiniteGroup, W: ProjRep, quot: Quotient) -> ProjRep:
     return ProjRep(G, W.table[np.ix_(proj, proj)], W.matrices[proj], check=False)
 
 
-def factor_over_extension(X: ProjRep, ext: CliffordExtension,
-                          seed: int = 0) -> ProjRep:
+def factor_over_extension(X: ProjRep, ext: CliffordExtension) -> ProjRep:
     """The quotient factor W with X = Y (x) inf W, via the N-hom space.
 
     The inertia group acts on Hom_N(res Y, res X) by w -> X(g) w Y(g)^-1;
@@ -476,18 +489,10 @@ def factor_over_extension(X: ProjRep, ext: CliffordExtension,
     Jg = Y.group
     if X.group.order != Jg.order or not np.array_equal(X.group.mul, Jg.mul):
         raise CocycleMismatch("X does not live on the inertia group")
-    # the W-action cocycle is X's cocycle divided by beta; it must be an
-    # exact inflation (trivial on N both ways, constant on cosets)
-    delta = X.table * np.conj(ext.beta)
-    nmask = ext.n_in_j.elements
-    if np.max(np.abs(delta[nmask, :] - 1)) > TOL_CHECK or \
-            np.max(np.abs(delta[:, nmask] - 1)) > TOL_CHECK:
-        raise CocycleMismatch("X's cocycle does not match the base on N")
+    # the W-action cocycle is X's cocycle divided by beta
     quot = ext.quotient
-    b_table = delta[np.ix_(quot.section, quot.section)]
-    if np.max(np.abs(delta - b_table[np.ix_(quot.projection,
-                                            quot.projection)])) > TOL_CHECK:
-        raise CocycleMismatch("obstruction of X is not constant on cosets")
+    _, b_table = _obstruction(X.table, ext.beta, ext.n_in_j, quot,
+                              CocycleMismatch)
     mult, ws = intertwiner_space(ext.base, restrict_rep(X, ext.n_in_j))
     if mult == 0:
         raise FactorizationFailure("base constituent absent from restriction")

@@ -42,13 +42,12 @@ class TwistedAlgebra:
     """C^c G on the basis {g sigma} with g sigma * h sigma = a(g,h) gh sigma."""
 
     def __init__(self, group: FiniteGroup, table: np.ndarray,
-                 cocycle: Cocycle | None = None, check: bool = True):
+                 check: bool = True):
         self.group = group
         tab = np.ascontiguousarray(np.asarray(table, dtype=np.complex128))
         if tab.shape != (group.order, group.order):
             raise ValueError("cocycle table shape mismatch")
         self.table = tab
-        self.cocycle = cocycle  # exact integer backing when available
         self._cache: dict = {}
         if check:
             self._validate()
@@ -56,7 +55,7 @@ class TwistedAlgebra:
 
     @classmethod
     def from_cocycle(cls, c: Cocycle) -> "TwistedAlgebra":
-        return cls(c.group, c.unit_table(), cocycle=c, check=False)
+        return cls(c.group, c.unit_table(), check=False)
 
     def _validate(self) -> None:
         n = self.group.order
@@ -229,10 +228,6 @@ class WedderburnData:
     degrees: list[int]
     residual: float
     seed: int
-
-    @property
-    def block_count(self) -> int:
-        return len(self.degrees)
 
 
 def wedderburn(A: TwistedAlgebra, seed: int = 0) -> WedderburnData:

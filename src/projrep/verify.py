@@ -174,7 +174,7 @@ def _inapplicable(name, ctx, param, reason):
 # -- counting, divisibility, and the Hall restriction criterion -------------
 
 
-def verify_basic(ctx: CoclassContext, pi_sets: list[PiSet] | None = None,
+def verify_basic(ctx: CoclassContext,
                  h2_cap: int = DEFAULT_H2_CAP) -> CheckResult:
     """Degree formula, class counting, order divisibilities, prime chain,
     and the three-way Hall restriction criterion."""
@@ -192,10 +192,8 @@ def verify_basic(ctx: CoclassContext, pi_sets: list[PiSet] | None = None,
             set(prime_divisors(o)) <= set(prime_divisors(d))
             <= set(prime_divisors(G.order)) for d in degrees),
     }
-    if pi_sets is None:
-        pi_sets = default_pi_sets(G.order)
     hall_tested = 0
-    for pi in pi_sets:
+    for pi in default_pi_sets(G.order):
         if not is_pi_separable(G, pi):
             continue
         H = hall_subgroup(G, pi)

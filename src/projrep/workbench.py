@@ -36,6 +36,7 @@ from .twisted import TOLERANCES, wedderburn
 from .verify import (
     CheckResult,
     CoclassContext,
+    _inapplicable,
     pi_decompose,
     verify_a5_negative_control,
     verify_basic,
@@ -126,7 +127,7 @@ def _check_tasks(name: str, ctxs, config: RunConfig):
                 and ctx.label in ("[0]", "trivial"):
             yield lambda c=ctx: [verify_a5_negative_control(c)]
         if "decompose" in config.checks:
-            yield lambda c=ctx, n=name: _decompose_check(c, n)
+            yield lambda c=ctx: _decompose_check(c)
 
 
 def _clifford_check(ctx: CoclassContext) -> list[CheckResult]:
@@ -140,21 +141,18 @@ def _clifford_check(ctx: CoclassContext) -> list[CheckResult]:
             seen.add(N.elements.tobytes())
             cores.append(N)
     if not cores:
-        return [CheckResult(
-            name="clifford_laws", group=G.name, coclass=ctx.label, param="-",
-            lhs=None, rhs=None, verdict="inapplicable",
-            reason="no proper nontrivial p-complement core")]
+        return [_inapplicable("clifford_laws", ctx, "-",
+                              "no proper nontrivial p-complement core")]
     return [verify_clifford_laws(ctx, N, ctx.restricted(N).irreps[-1])
             for N in cores]
 
 
-def _decompose_check(ctx: CoclassContext, name: str) -> list[CheckResult]:
+def _decompose_check(ctx: CoclassContext) -> list[CheckResult]:
     G = ctx.group
     if not is_solvable(G) or G.order > 60:
-        return [CheckResult(
-            name="decompose", group=G.name, coclass=ctx.label, param="-",
-            lhs=None, rhs=None, verdict="inapplicable",
-            reason="certificates are swept on solvable groups of order <= 60")]
+        return [_inapplicable(
+            "decompose", ctx, "-",
+            "certificates are swept on solvable groups of order <= 60")]
     out = []
     for p in prime_divisors(G.order):
         pi = PiSet([p])

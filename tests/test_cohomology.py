@@ -1,5 +1,7 @@
 """Tests for cocycles, the multiplier pipeline, and coclass arithmetic."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,21 +263,27 @@ def test_covering_quotient_is_private(sl25g):
 
 
 def test_resolve_roundtrip(s4g, d4g):
-    for G in (s4g, d4g):
+    # every catalog group with a multiplier too: on C3xC6 (|G| = 18, p-part
+    # q = 9) resolving t mod q without the unit (18/9)^-1 swapped [1] and [2]
+    from projrep.catalog import catalog, get_group
+    catalog_groups = [get_group(e.name) for e in catalog() if e.order <= 60]
+    for G in (s4g, d4g, *catalog_groups):
         m = schur_multiplier(G)
         for c in m.coclasses():
             assert m.resolve(c.representative.table, c.representative.modulus) \
-                == c.vector
+                == c.vector, G.name
             # perturbation by a coboundary does not move the class
             rng = np.random.default_rng(G.order)
             vals = np.concatenate([[0], rng.integers(0, G.order,
                                                      size=G.order - 1)])
             pert = c.representative.mul(Cochain1(G, G.order, vals).coboundary())
-            assert m.resolve(pert.table, pert.modulus) == c.vector
+            assert m.resolve(pert.table, pert.modulus) == c.vector, G.name
 
 
 def test_solver_brute_force_small():
     rng = np.random.default_rng(11)
+    rng_t = np.random.default_rng(12)
+    solvable_seen = set()
     for _ in range(60):
         p = int(rng.choice([2, 3]))
         k = int(rng.integers(1, 3))
@@ -287,6 +295,18 @@ def test_solver_brute_force_small():
         sol = solve_mod_prime_power(M, t, p, k)
         assert sol is not None
         assert np.all((M @ sol - t) % q == 0)
+        # random targets, often inconsistent: None iff no u in (Z/q)^cols
+        # solves M u = t, else a true solution
+        every_u = np.array(list(itertools.product(range(q), repeat=cols)))
+        for t in rng_t.integers(0, q, size=(4, rows)):
+            solvable = bool(np.any(np.all((every_u @ M.T - t) % q == 0,
+                                          axis=1)))
+            sol = solve_mod_prime_power(M, t, p, k)
+            assert (sol is not None) == solvable
+            if sol is not None:
+                assert np.all((M @ sol - t) % q == 0)
+            solvable_seen.add(solvable)
+    assert solvable_seen == {True, False}
 
 
 def test_smith_mod_prime_power_known():

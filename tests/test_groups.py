@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from projrep.catalog import catalog, get_group
 from projrep.errors import ClosureTooLarge, NotNormal, NotPermutation, NotPiSeparable
 from projrep.groups import (
     PiSet,
@@ -11,9 +12,11 @@ from projrep.groups import (
     closure,
     commutator_subgroup,
     conjugacy_classes,
+    default_pi_sets,
     hall_higman_check,
     hall_subgroup,
     is_p_solvable,
+    is_pi_separable,
     is_solvable,
     normalizer,
     o_pi,
@@ -158,10 +161,23 @@ def test_sylow_a5(a5):
     assert P.as_group().is_abelian()
 
 
+def catalog_groups(max_order=120):
+    return [get_group(e.name) for e in catalog() if e.order <= max_order]
+
+
+def is_pi_group(G, H, pi):
+    return all(pi.is_pi_number(int(o)) for o in G.element_orders()[H.elements])
+
+
 def test_sylow_order_exact(s4, a5, c6):
     for G in (s4, a5, c6):
         for p in G.primes():
             assert sylow_subgroup(G, p).order == PiSet([p]).part(G.order)
+    for G in catalog_groups():
+        for p in G.primes():
+            P = sylow_subgroup(G, p)
+            assert P.order == PiSet([p]).part(G.order), (G.name, p)
+            assert is_pi_group(G, P, PiSet([p])), (G.name, p)
 
 
 def test_hall_s4(s4):
@@ -182,6 +198,14 @@ def test_hall_coprime_index(s4, c6):
             H = hall_subgroup(G, pi)
             assert H.order == pi.part(G.order)
             assert np.gcd(H.order, G.order // H.order) == 1
+    for G in catalog_groups():
+        for pi in default_pi_sets(G.order):
+            if not is_pi_separable(G, pi):
+                continue
+            H = hall_subgroup(G, pi)
+            assert H.order == pi.part(G.order), (G.name, pi)
+            assert np.gcd(H.order, G.order // H.order) == 1
+            assert is_pi_group(G, H, pi), (G.name, pi)
 
 
 def test_hall_not_separable(a5):

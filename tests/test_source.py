@@ -64,7 +64,8 @@ def test_multiplier_cached_only_by_its_solver():
 
 def test_thresholds_only_in_the_tolerance_block():
     # every numerical threshold is a TOL_ constant at the top of twisted.py,
-    # so the reported tolerance table is the one the checks use
+    # so the reported tolerance table is the one the checks use; rounding
+    # to a number of decimals is a threshold too
     def in_block(path, node):
         return (path.name == "twisted.py" and isinstance(node, ast.Assign)
                 and all(isinstance(t, ast.Name) and t.id.startswith("TOL_")
@@ -80,4 +81,10 @@ def test_thresholds_only_in_the_tolerance_block():
                   and isinstance(node.value, float)
                   and 0 < abs(node.value) < 1e-3
                   and id(node) not in block]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "round"
+                  and (len(node.args) > 1
+                       or any(k.arg == "ndigits" for k in node.keywords))]
     assert found == []
