@@ -15,12 +15,13 @@ Z^2(Z/q) is solved in generator coordinates.  A normalized cocycle is fixed
 by its values a(x, g) on the generators g, since the cocycle identity reads
 a(x, yg) = a(x, y) + a(xy, g) - a(y, g) along a BFS tree of the Cayley graph.
 That lift L turns the identity into a matrix FL on |gens|*(|G|-1) unknowns
-instead of (|G|-1)^2, and Z^2(Z/p^j) = L ker(FL mod p^j).  The generators
-handed on are rebuilt from that chain of kernels exactly as
-kernel_mod_prime_power would return them for the full identity matrix, so
-basis cocycles do not depend on the coordinates the solve used.  All of it
-is exact integer arithmetic.  Everything here is immutable after
-construction; the solver context is read-only and safe to share.
+instead of (|G|-1)^2, and Z^2(Z/p^j) = L ker(FL mod p^j).  Every kernel,
+solution and cokernel is read off one Smith decomposition over Z/p^k per
+solve, so FL is decomposed once per prime.  _kernel_from_chain makes kernel
+generators canonical, so basis cocycles do not depend on how the solve went.
+All of it is exact integer arithmetic, checked against the matrices solved.
+Everything here is immutable after construction; the solver context is
+read-only and safe to share.
 """
 
 from __future__ import annotations
@@ -101,108 +102,155 @@ def _rref_mod_p(M: np.ndarray, p: int):
     return M, pivots
 
 
-def kernel_mod_prime_power(M: np.ndarray, p: int, k: int) -> list[np.ndarray]:
-    """Generators of {v : M v = 0 mod p^k} as a subgroup of (Z/p^k)^cols.
+def _kernel_from_chain(chain: list[np.ndarray], p: int) -> list[np.ndarray]:
+    """Canonical generators of ker(M mod p^k), from the kernels of M alone.
 
-    Recursion on k: v = K x + p y with (x, y) in the kernel of [MK/p | M]
-    mod p^(k-1), where K spans the kernel mod p.
+    chain[j-1] holds generators (as rows) of ker(M mod p^j) for j = 1..k;
+    the result depends only on those kernels.  Level 1 is the basis K of
+    ker(M mod p) reduced on each vector's last nonzero entry (its lead),
+    leads ascending.  Above it, v = Kx + py with (x, y) in the kernel of
+    [MK/p | M] mod p^(k-1), whose kernel mod p^j is {(x, y) : Kx + py in
+    ker(M mod p^(j+1))}, generated by (a[lead], (a - K a[lead])/p) over the
+    generators a of ker(M mod p^(j+1)) together with (-p e_i, K e_i), the
+    integer kernel of (x, y) -> Kx + py; that chain is canonicalized in turn.
     """
-    q = p**k
-    M = np.asarray(M, dtype=np.int64) % q
-    R, pivots = _rref_mod_p(M, p)
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(M.shape[1]) if c not in pivot_cols]
-    basis = []
-    for f in free:
-        v = np.zeros(M.shape[1], dtype=np.int64)
-        v[f] = 1
-        for r, c in pivots:
-            v[c] = (-int(R[r, f])) % p
-        basis.append(v)
+    k = len(chain)
+    R, pivots = _rref_mod_p(chain[0][:, ::-1], p)
+    basis = [np.ascontiguousarray(R[r, ::-1]) for r, _ in reversed(pivots)]
+    lead = [chain[0].shape[1] - 1 - c for _, c in reversed(pivots)]
     if k == 1 or not basis:
         return basis
     K = np.stack(basis, axis=1)
-    MK = M @ K
-    if np.any(MK % p):
-        raise CrossCheckMismatch("kernel basis mod p is not in the kernel")
-    Mrec = np.concatenate([MK // p, M], axis=1) % (p ** (k - 1))
     kappa = K.shape[1]
-    out = []
-    for w in kernel_mod_prime_power(Mrec, p, k - 1):
-        out.append((K @ w[:kappa] + p * w[kappa:]) % q)
-    return out
+    shifts = np.concatenate([-p * np.eye(kappa, dtype=np.int64), K]).T
+    sub = []
+    for j in range(1, k):
+        A = chain[j]
+        X = A[:, lead]
+        lifted = np.concatenate([X, (A - X @ K.T) // p], axis=1)
+        sub.append(np.concatenate([lifted, shifts]) % p**j)
+    q = p**k
+    return [(K @ w[:kappa] + p * w[kappa:]) % q
+            for w in _kernel_from_chain(sub, p)]
+
+
+def smith_mod_prime_power(A: np.ndarray, p: int, k: int, extra=None):
+    """Smith decomposition U A V = D of A over Z/p^k, with q = p^k.
+
+    Each step pivots on the first entry of minimal p-valuation, in row-major
+    order, of the trailing block, scales its row to p^v and clears the column
+    below it.  Returns (vals, V, X), all mod q: D_ii = p^vals[i] (ascending)
+    for i < len(vals), and D is zero elsewhere; V is the column transform; X
+    is U extra, the row operations applied to a block of extra columns.  U
+    itself, rows x rows, is never formed.
+    """
+    q = p**k
+    A = np.asarray(A, dtype=np.int64)
+    if A.ndim != 2:
+        raise ModulusMismatch(f"matrix of shape {A.shape}")
+    rows, cols = A.shape
+    X = np.zeros((rows, 0), dtype=np.int64) if extra is None else extra
+    # entries are reduced only where read and move by less than q^2 a step,
+    # so any integer type that holds q + rank * q^2 is exact; narrow is fast
+    bound = q + min(rows, cols) * q * q
+    W = np.concatenate([A, np.asarray(X, dtype=np.int64)], axis=1) % q
+    W = W.astype(np.int16 if bound < 2**15 else
+                 np.int32 if bound < 2**31 else np.int64)
+    V = np.eye(cols, dtype=np.int64)
+    vals: list[int] = []
+    s = v = lo = 0
+    while s < min(rows, cols) and v < k:
+        # rows in [s, lo) have no entry of valuation v and keep none, as the
+        # pivot row's have valuation >= v: scan on in chunks that double
+        size = 8
+        while lo < rows:
+            chunk = W[lo:lo + size, s:cols] % p ** (v + 1)
+            live = np.flatnonzero(chunk.any(axis=1))
+            if live.size:
+                break
+            lo, size = lo + size, 2 * size
+        if lo >= rows:
+            v, lo = v + 1, s
+            continue
+        bi, bj = lo + live[0], s + np.flatnonzero(chunk[live[0]])[0]
+        W[[s, bi]] = W[[bi, s]]
+        W[:, [s, bj]] = W[:, [bj, s]]
+        V[:, [s, bj]] = V[:, [bj, s]]
+        pv = p**v
+        row = W[s, s:] % q
+        W[s, s:] = row * pow(int(row[0]) // pv, -1, q) % q
+        col = W[s + 1:, s] % q
+        below = np.flatnonzero(col)
+        W[below + s + 1, s:] -= np.outer(col[below] // pv, W[s, s:])
+        V[:, s + 1:] = (V[:, s + 1:]
+                        - np.outer(V[:, s], W[s, s + 1:cols] // pv)) % q
+        vals.append(v)
+        s, lo = s + 1, bi + 1
+    return vals, V, (W[:, cols:] % q).astype(np.int64)
+
+
+def _matmul_mod(X: np.ndarray, Y: np.ndarray, q: int) -> np.ndarray:
+    """X @ Y mod q, in float64 on entries reduced mod q: exact while
+    X.shape[1] * q^2 < 2^53, far above the sizes and moduli used here."""
+    prod = (X % q).astype(np.float64) @ (Y % q).astype(np.float64)
+    return prod.astype(np.int64) % q
+
+
+def _kernel_chain(M: np.ndarray, p: int, k: int) -> list[np.ndarray]:
+    """Generators, as rows, of ker(M mod p^j) for j = 1..k, from one Smith form.
+
+    With U M V = D, ker(M mod p^j) is generated by the V_i p^max(0, j - v_i),
+    v_i the valuation of D_ii (k past the rank); those with v_i = 0 vanish.
+    Every level needs M V_i = 0 mod p^v_i, so checking level k checks all.
+    """
+    q = p**k
+    vals, V, _ = smith_mod_prime_power(M, p, k)
+    v = np.array(vals + [k] * (V.shape[1] - len(vals)), dtype=np.int64)
+    K, v = V[:, v > 0], v[v > 0]
+    if np.any(_matmul_mod(M, K * p ** (k - v), q)):
+        raise CrossCheckMismatch(f"a kernel generator fails M w = 0 mod {q}")
+    return [np.ascontiguousarray((K * p ** np.maximum(0, j - v)).T % p**j)
+            for j in range(1, k + 1)]
+
+
+def kernel_mod_prime_power(M: np.ndarray, p: int, k: int) -> list[np.ndarray]:
+    """Canonical generators of {v : M v = 0 mod p^k} in (Z/p^k)^cols."""
+    return _kernel_from_chain(_kernel_chain(M, p, k), p)
 
 
 def solve_mod_prime_power(M: np.ndarray, t: np.ndarray, p: int, k: int):
     """One solution of M u = t mod p^k, or None if inconsistent.
 
-    Read off the kernel of [M | -t]: (u, 1) lies in it exactly when u is a
-    solution, so some kernel generator w has a unit last entry iff one
-    exists, and then u = w[:-1] / w[-1].
+    t is a vector or a block of columns.  With U M V = D and t carried, M u = t
+    iff D y = U t for y = V^-1 u, solvable iff each (U t)_i is divisible by
+    D_ii (zero past the rank); then u = V y.
     """
     q = p**k
-    aug = np.concatenate([np.asarray(M, dtype=np.int64),
-                          -np.asarray(t, dtype=np.int64)[:, None]], axis=1)
-    for w in kernel_mod_prime_power(aug, p, k):
-        if w[-1] % p:
-            return (w[:-1] * pow(int(w[-1]), -1, q)) % q
-    return None
+    M = np.asarray(M, dtype=np.int64)
+    t = np.asarray(t, dtype=np.int64)
+    T = t[:, None] if t.ndim == 1 else t
+    vals, V, UT = smith_mod_prime_power(M, p, k, T)
+    r = len(vals)
+    d = p ** np.array(vals, dtype=np.int64)[:, None]
+    if np.any(UT[:r] % d) or np.any(UT[r:]):
+        return None
+    u = _matmul_mod(V[:, :r], UT[:r] // d, q)
+    if np.any((_matmul_mod(M, u, q) - T) % q):
+        raise CrossCheckMismatch(f"a solution fails M u = t mod {q}")
+    return u[:, 0] if t.ndim == 1 else u
 
 
-def smith_mod_prime_power(P: np.ndarray, p: int, k: int, rows: int):
-    """Smith form of a Z/p^k module presentation (columns are relations).
+def _cokernel(P: np.ndarray, p: int, k: int):
+    """(invariants, uinv) of coker P = (Z/p^k)^rows / colspan(P), ascending.
 
-    coker = (Z/q)^rows / colspan(P).  Pivoting on minimal p-valuation keeps
-    every entry reduced mod q, so there is no coefficient growth.  Returns
-    (invariants, uinv) with one invariant per row coordinate, ascending, and
-    uinv's column i the generator of the i-th cyclic factor in the original
-    coordinates (mod q).
+    With U P V = D the cokernel is the sum of the Z/D_ii (Z/p^k past the
+    rank), and the generator of the i-th factor is column i of uinv = U^-1.
     """
-    q = p**k
-    A = np.asarray(P, dtype=np.int64) % q
-    if A.ndim != 2 or A.shape[0] != rows:
-        raise ModulusMismatch(f"presentation of shape {A.shape} for {rows} rows")
-    cols = A.shape[1]
-    uinv = np.eye(rows, dtype=np.int64)
-    if A.size == 0:
-        return [q] * rows, uinv
-    s = 0
-    vals: list[int] = []
-    while s < min(rows, cols):
-        # minimal-valuation entry of the trailing block
-        block = A[s:, s:]
-        piv = None
-        for v in range(k):
-            nz = np.nonzero(block % (p ** (v + 1)))
-            if nz[0].size:
-                piv = (v, s + int(nz[0][0]), s + int(nz[1][0]))
-                break
-        if piv is None:
-            break
-        v, bi, bj = piv
-        if bi != s:
-            A[[s, bi]] = A[[bi, s]]
-            uinv[:, [s, bi]] = uinv[:, [bi, s]]
-        if bj != s:
-            A[:, [s, bj]] = A[:, [bj, s]]
-        unit = int(A[s, s]) // p**v
-        uinv_unit = pow(unit, -1, q)
-        A[s] = (A[s] * uinv_unit) % q
-        uinv[:, s] = (uinv[:, s] * unit) % q  # U^-1 picks up the inverse op
-        pv = p**v
-        for i in range(rows):
-            if i == s or A[i, s] == 0:
-                continue
-            f = int(A[i, s]) // pv
-            A[i] = (A[i] - f * A[s]) % q
-            uinv[:, s] = (uinv[:, s] + f * uinv[:, i]) % q
-        for j in range(s + 1, cols):
-            if A[s, j]:
-                A[:, j] = (A[:, j] - (int(A[s, j]) // pv) * A[:, s]) % q
-        vals.append(v)
-        s += 1
-    invariants = [p**v for v in vals] + [q] * (rows - s)
-    return invariants, uinv
+    rows = P.shape[0]
+    eye = np.eye(rows, dtype=np.int64)
+    vals, _, U = smith_mod_prime_power(P, p, k, eye)
+    return ([p**v for v in vals] + [p**k] * (rows - len(vals)),
+            solve_mod_prime_power(U, eye, p, k))
 
 
 # -- cochains and cocycles --------------------------------------------------
@@ -356,39 +404,6 @@ def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     return lift[xf, yf], FL
 
 
-def _kernel_from_chain(chain: list[np.ndarray], p: int) -> list[np.ndarray]:
-    """kernel_mod_prime_power(M, p, k) rebuilt from the kernels of M alone.
-
-    chain[j-1] holds generators (as rows) of ker(M mod p^j) for j = 1..k.
-    Level 1 of kernel_mod_prime_power is a basis K of ker(M mod p) that
-    depends only on that kernel (below).  Its recursion on [MK/p | M] has
-    kernel mod p^j {(x, y) : Kx + py in ker(M mod p^(j+1))}, generated by
-    (a[lead], (a - K a[lead])/p) over the generators a of ker(M mod p^(j+1))
-    together with (-p e_i, K e_i), the integer kernel of (x, y) -> Kx + py.
-    """
-    k = len(chain)
-    # K: the basis of ker(M mod p) reduced on each vector's last nonzero entry
-    # (its lead), leads ascending.  It depends only on the kernel, and its
-    # leads are the free columns kernel_mod_prime_power reads off its pivots.
-    R, pivots = _rref_mod_p(chain[0][:, ::-1], p)
-    basis = [np.ascontiguousarray(R[r, ::-1]) for r, _ in reversed(pivots)]
-    lead = [chain[0].shape[1] - 1 - c for _, c in reversed(pivots)]
-    if k == 1 or not basis:
-        return basis
-    K = np.stack(basis, axis=1)
-    kappa = K.shape[1]
-    shifts = np.concatenate([-p * np.eye(kappa, dtype=np.int64), K]).T
-    sub = []
-    for j in range(1, k):
-        A = chain[j]
-        X = A[:, lead]
-        lifted = np.concatenate([X, (A - X @ K.T) // p], axis=1)
-        sub.append(np.concatenate([lifted, shifts]) % p**j)
-    q = p**k
-    return [(K @ w[:kappa] + p * w[kappa:]) % q
-            for w in _kernel_from_chain(sub, p)]
-
-
 def _distinct_nonzero_rows(M: np.ndarray) -> np.ndarray:
     """The first copy of each distinct nonzero row of M, in order.
 
@@ -406,18 +421,14 @@ def _cocycle_generators(L: np.ndarray, FL: np.ndarray, p: int,
                         k: int) -> list[np.ndarray]:
     """Generators of Z^2(G, Z/p^k) as flat tables, from _generator_lift.
 
-    Equal, element for element, to kernel_mod_prime_power of the full
-    cocycle-identity matrix; each ker(FL mod p^j) is solved once.  Zero and
-    repeated rows of FL are dropped first: the row space, hence every
-    kernel, stays the same.
+    FL is decomposed once; Z^2(Z/p^j) = L ker(FL mod p^j) at every level j,
+    and _kernel_from_chain makes the generators canonical, so they do not
+    depend on the coordinates the solve used.  Zero and repeated rows of FL
+    are dropped first: the row space, hence every kernel, stays the same.
     """
-    FL = _distinct_nonzero_rows(FL)
-    chain = []
-    for j in range(1, k + 1):
-        u = kernel_mod_prime_power(FL, p, j)
-        chain.append((np.stack(u) @ L.T) % p**j if u
-                     else np.zeros((0, L.shape[0]), dtype=np.int64))
-    return _kernel_from_chain(chain, p)
+    chain = _kernel_chain(_distinct_nonzero_rows(FL), p, k)
+    return _kernel_from_chain([_matmul_mod(u, L.T, p**j)
+                               for j, u in enumerate(chain, 1)], p)
 
 
 def _coboundary_columns(G: FiniteGroup) -> np.ndarray:
@@ -480,6 +491,12 @@ def _character_carries(G: FiniteGroup) -> list[tuple[int, np.ndarray]]:
     return out
 
 
+def _boundaries(G: FiniteGroup, p: int) -> np.ndarray:
+    """The coboundary columns and the carries of the p-power characters."""
+    carries = [c for ell, c in _character_carries(G) if ell == p]
+    return np.column_stack([_coboundary_columns(G)] + carries)
+
+
 class SchurMultiplier:
     """H^2(G, C*) with invariant factors, basis coclasses, and a solver.
 
@@ -509,9 +526,10 @@ class SchurMultiplier:
         return self.invariants[-1] if self.invariants else 1
 
     def coclass(self, vector) -> "Coclass":
-        vec = tuple(int(v) % d for v, d in zip(vector, self.invariants))
+        vec = tuple(vector)
         if len(vec) != len(self.invariants):
             raise ValueError("exponent vector has wrong length")
+        vec = tuple(int(v) % d for v, d in zip(vec, self.invariants))
         n = self.group.order
         acc = np.zeros((n, n), dtype=np.int64)
         for e, c in zip(vec, self.basis):
@@ -549,26 +567,14 @@ class SchurMultiplier:
             raise ModulusMismatch("table shape mismatch")
         M_all = _lcm(modulus, self.modulus)
         t_flat = _flat(np.asarray(table, dtype=np.int64)) * (M_all // modulus)
-        delta = _coboundary_columns(G)
-        carries = _character_carries(G)
         k_basis = len(self.invariants)
         crt: list[tuple[int, int]] = [(1, 0)] * k_basis
         for p, e in factorize(M_all).items():
             q = p**e
-            cols = []
-            for i in range(k_basis):
-                qp, tabs = self._prime_tables.get(p, (1, [None] * k_basis))
-                tab = tabs[i] if tabs else None
-                if tab is None:
-                    cols.append(np.zeros(t_flat.size, dtype=np.int64))
-                else:
-                    cols.append(tab * (q // qp))
-            cols.append(delta)
-            for ell, carry in carries:
-                if ell == p:
-                    cols.append(carry[:, None])
-            A = np.concatenate([c if c.ndim == 2 else c[:, None] for c in cols],
-                               axis=1)
+            qp, tabs = self._prime_tables.get(p, (1, [None] * k_basis))
+            basis = [np.zeros(t_flat.size, dtype=np.int64) if tab is None
+                     else tab * (q // qp) for tab in tabs]
+            A = np.column_stack(basis + [_boundaries(G, p)])
             sol = solve_mod_prime_power(A, t_flat * pow(M_all // q, -1, q),
                                         p, e)
             if sol is None:
@@ -619,26 +625,18 @@ def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultipli
         by_prime = {p: (e // 2, _cocycle_generators(L, FL, p, e // 2))
                     for p, e in factorize(n).items() if e // 2}
         del L, FL
-        delta = _coboundary_columns(G)
-        carries = _character_carries(G)
         for p, (k, zgens) in by_prime.items():
             if not zgens:
                 continue
             q = p**k
             Z = np.stack(zgens, axis=1)
-            bcols = [delta] + [c[:, None] for ell, c in carries if ell == p]
-            B = np.concatenate(bcols, axis=1)
-            rel = kernel_mod_prime_power(np.concatenate([Z, B], axis=1), p, k)
-            kappa = Z.shape[1]
-            R = [w[:kappa] for w in rel]
-            pres = np.stack(R, axis=1) if R else np.zeros((kappa, 0), dtype=np.int64)
-            diag, uinv = smith_mod_prime_power(pres, p, k, kappa)
-            plist = []
-            for slot, d in enumerate(diag):
-                if d <= 1:
-                    continue
-                tab = (Z @ uinv[:, slot]) % q
-                plist.append((int(d), tab))
+            rel = kernel_mod_prime_power(np.column_stack([Z, _boundaries(G, p)]),
+                                         p, k)
+            pres = (np.stack(rel, axis=1)[:Z.shape[1]] if rel
+                    else np.zeros((Z.shape[1], 0), dtype=np.int64))
+            diag, uinv = _cokernel(pres, p, k)
+            plist = [(d, (Z @ uinv[:, slot]) % q)
+                     for slot, d in enumerate(diag) if d > 1]
             if plist:
                 parts[p] = plist  # ascending prime-power orders
     # merge the p-parts into invariant factors d_1 | d_2 | ...

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projrep import cohomology
 from projrep.cohomology import (
     Cochain1,
     Cocycle,
     _cocycle_generators,
+    _cokernel,
     _generator_lift,
     _kernel_from_chain,
+    _rref_mod_p,
     cocycle_from_extension,
     inflate_coclass,
     is_cocycle,
@@ -25,7 +28,12 @@ from projrep.cohomology import (
     solve_mod_prime_power,
     trivial_cocycle,
 )
-from projrep.errors import GroupTooLargeForH2, ModulusMismatch, NotCentral
+from projrep.errors import (
+    CrossCheckMismatch,
+    GroupTooLargeForH2,
+    ModulusMismatch,
+    NotCentral,
+)
 from projrep.groups import (
     PiSet,
     Subgroup,
@@ -36,6 +44,98 @@ from projrep.groups import (
 from projrep.twisted import TwistedAlgebra, wedderburn
 
 from conftest import center_subgroup, cyclic_gens, dihedral_gens, direct_gens
+
+
+# The recursive kernel and the loop Smith form that one decomposition replaced,
+# kept verbatim: the new code must match them bit for bit.
+
+
+def _kernel_mod_prime_power_reference(M, p, k):
+    """Generators of {v : M v = 0 mod p^k} as a subgroup of (Z/p^k)^cols.
+
+    Recursion on k: v = K x + p y with (x, y) in the kernel of [MK/p | M]
+    mod p^(k-1), where K spans the kernel mod p.
+    """
+    q = p**k
+    M = np.asarray(M, dtype=np.int64) % q
+    R, pivots = _rref_mod_p(M, p)
+    pivot_cols = {c for _, c in pivots}
+    free = [c for c in range(M.shape[1]) if c not in pivot_cols]
+    basis = []
+    for f in free:
+        v = np.zeros(M.shape[1], dtype=np.int64)
+        v[f] = 1
+        for r, c in pivots:
+            v[c] = (-int(R[r, f])) % p
+        basis.append(v)
+    if k == 1 or not basis:
+        return basis
+    K = np.stack(basis, axis=1)
+    MK = M @ K
+    if np.any(MK % p):
+        raise CrossCheckMismatch("kernel basis mod p is not in the kernel")
+    Mrec = np.concatenate([MK // p, M], axis=1) % (p ** (k - 1))
+    kappa = K.shape[1]
+    out = []
+    for w in _kernel_mod_prime_power_reference(Mrec, p, k - 1):
+        out.append((K @ w[:kappa] + p * w[kappa:]) % q)
+    return out
+
+
+def _smith_mod_prime_power_reference(P, p, k, rows):
+    """Smith form of a Z/p^k module presentation (columns are relations).
+
+    coker = (Z/q)^rows / colspan(P).  Pivoting on minimal p-valuation keeps
+    every entry reduced mod q, so there is no coefficient growth.  Returns
+    (invariants, uinv) with one invariant per row coordinate, ascending, and
+    uinv's column i the generator of the i-th cyclic factor in the original
+    coordinates (mod q).
+    """
+    q = p**k
+    A = np.asarray(P, dtype=np.int64) % q
+    if A.ndim != 2 or A.shape[0] != rows:
+        raise ModulusMismatch(f"presentation of shape {A.shape} for {rows} rows")
+    cols = A.shape[1]
+    uinv = np.eye(rows, dtype=np.int64)
+    if A.size == 0:
+        return [q] * rows, uinv
+    s = 0
+    vals: list[int] = []
+    while s < min(rows, cols):
+        # minimal-valuation entry of the trailing block
+        block = A[s:, s:]
+        piv = None
+        for v in range(k):
+            nz = np.nonzero(block % (p ** (v + 1)))
+            if nz[0].size:
+                piv = (v, s + int(nz[0][0]), s + int(nz[1][0]))
+                break
+        if piv is None:
+            break
+        v, bi, bj = piv
+        if bi != s:
+            A[[s, bi]] = A[[bi, s]]
+            uinv[:, [s, bi]] = uinv[:, [bi, s]]
+        if bj != s:
+            A[:, [s, bj]] = A[:, [bj, s]]
+        unit = int(A[s, s]) // p**v
+        uinv_unit = pow(unit, -1, q)
+        A[s] = (A[s] * uinv_unit) % q
+        uinv[:, s] = (uinv[:, s] * unit) % q  # U^-1 picks up the inverse op
+        pv = p**v
+        for i in range(rows):
+            if i == s or A[i, s] == 0:
+                continue
+            f = int(A[i, s]) // pv
+            A[i] = (A[i] - f * A[s]) % q
+            uinv[:, s] = (uinv[:, s] + f * uinv[:, i]) % q
+        for j in range(s + 1, cols):
+            if A[s, j]:
+                A[:, j] = (A[:, j] - (int(A[s, j]) // pv) * A[:, s]) % q
+        vals.append(v)
+        s += 1
+    invariants = [p**v for v in vals] + [q] * (rows - s)
+    return invariants, uinv
 
 
 def test_trivial_cocycle_is_cocycle(v4):
@@ -311,11 +411,11 @@ def test_solver_brute_force_small():
 
 def test_smith_mod_prime_power_known():
     # coker of [[2,0],[0,4]] over Z/8
-    inv, uinv = smith_mod_prime_power(np.array([[2, 0], [0, 4]]), 2, 3, 2)
+    inv, uinv = _cokernel(np.array([[2, 0], [0, 4]]), 2, 3)
     assert inv == [2, 4]
-    inv, _ = smith_mod_prime_power(np.zeros((2, 0), dtype=np.int64), 2, 2, 2)
+    inv, _ = _cokernel(np.zeros((2, 0), dtype=np.int64), 2, 2)
     assert inv == [4, 4]
-    inv, _ = smith_mod_prime_power(np.array([[1], [1]]), 3, 1, 2)
+    inv, _ = _cokernel(np.array([[1], [1]]), 3, 1)
     assert sorted(inv) == [1, 3]
 
 
@@ -379,7 +479,7 @@ def test_generator_lift_matches_full_constraints(name):
         if k == 0:
             continue
         new = _cocycle_generators(L, FL, p, k)
-        old = kernel_mod_prime_power(reference, p, k)
+        old = _kernel_mod_prime_power_reference(reference, p, k)
         assert len(new) == len(old)
         for a, b in zip(new, old):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -410,10 +510,95 @@ def test_kernel_from_chain_matches_kernel_mod_prime_power(p, k, rows, cols, data
     if data.draw(st.booleans()):
         M = (M * p) % p**k
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    chain = [_scrambled(kernel_mod_prime_power(M, p, j), p, j, cols, rng)
+    chain = [_scrambled(_kernel_mod_prime_power_reference(M, p, j), p, j,
+                        cols, rng)
              for j in range(1, k + 1)]
     got = _kernel_from_chain(chain, p)
-    want = kernel_mod_prime_power(M, p, k)
+    want = _kernel_mod_prime_power_reference(M, p, k)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def _matrix(data, p, rows, cols):
+    entries = data.draw(st.lists(st.integers(-9, 9), min_size=rows * cols,
+                                 max_size=rows * cols))
+    M = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    # multiples of p keep the higher levels busy
+    return M * p ** data.draw(st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), k=st.integers(1, 3),
+       rows=st.integers(0, 6), cols=st.integers(0, 6), data=st.data())
+def test_kernel_mod_prime_power_matches_reference(p, k, rows, cols, data):
+    M = _matrix(data, p, rows, cols)
+    got = kernel_mod_prime_power(M, p, k)
+    want = _kernel_mod_prime_power_reference(M, p, k)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), k=st.integers(1, 3),
+       rows=st.integers(1, 6), cols=st.integers(0, 6), data=st.data())
+def test_cokernel_matches_smith_reference(p, k, rows, cols, data):
+    P = _matrix(data, p, rows, cols)
+    inv, uinv = _cokernel(P, p, k)
+    want_inv, want_uinv = _smith_mod_prime_power_reference(P, p, k, rows)
+    assert inv == want_inv
+    assert uinv.dtype == want_uinv.dtype and np.array_equal(uinv, want_uinv)
+    # the decomposition itself: U P V = D, valuations ascending
+    q = p**k
+    vals, V, U = smith_mod_prime_power(P, p, k, np.eye(rows, dtype=np.int64))
+    D = np.zeros((rows, cols), dtype=np.int64)
+    D[range(len(vals)), range(len(vals))] = [p**v for v in vals]
+    assert vals == sorted(vals)
+    assert np.array_equal(U @ P @ V % q, D)
+
+
+def test_cokernel_brute_force():
+    # |coker| and the order of each generator, by enumerating colspan(P)
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        p = int(rng.choice([2, 3]))
+        k = int(rng.integers(1, 3))
+        q = p**k
+        rows, cols = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        P = rng.integers(0, q, size=(rows, cols)) * p ** rng.integers(0, 2)
+        span = {(0,) * rows}
+        for c in P.T:
+            span = {tuple((np.array(x) + m * c) % q)
+                    for x in span for m in range(q)}
+        inv, uinv = _cokernel(P, p, k)
+        assert len(inv) == rows
+        assert int(np.prod(inv)) * len(span) == q**rows
+        for d, g in zip(inv, uinv.T):
+            order = next(m for m in range(1, q + 1)
+                         if tuple(m * g % q) in span)
+            assert order == d
+
+
+def test_cross_check_catches_a_corrupt_transform(monkeypatch):
+    smith = cohomology.smith_mod_prime_power
+
+    def corrupt(*args, **kwargs):
+        vals, V, X = smith(*args, **kwargs)
+        return vals, V[:, ::-1], X
+
+    M = np.array([[1, 1]])
+    assert len(kernel_mod_prime_power(M, 2, 1)) == 1
+    monkeypatch.setattr(cohomology, "smith_mod_prime_power", corrupt)
+    with pytest.raises(CrossCheckMismatch):
+        kernel_mod_prime_power(M, 2, 1)
+    with pytest.raises(CrossCheckMismatch):
+        solve_mod_prime_power(M, np.array([1]), 2, 1)
+
+
+def test_coclass_rejects_vectors_of_the_wrong_length(v4):
+    m = schur_multiplier(v4)
+    assert m.invariants == [2]
+    for vector in ([1, 0], []):
+        with pytest.raises(ValueError):
+            m.coclass(vector)

@@ -88,3 +88,24 @@ def test_thresholds_only_in_the_tolerance_block():
                   and (len(node.args) > 1
                        or any(k.arg == "ndigits" for k in node.keywords))]
     assert found == []
+
+
+def test_one_elimination_over_prime_powers():
+    # smith_mod_prime_power is the one elimination over Z/p^k; _rref_mod_p
+    # only makes kernel generators canonical, inside _kernel_from_chain, the
+    # one function of cohomology.py that recurses
+    path = PACKAGE / "cohomology.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def calls(f, name):
+        return [node.lineno for node in ast.walk(f)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == name]
+
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    rref = [f"{f.name}:{line}" for f in functions
+            if f.name != "_kernel_from_chain"
+            for line in calls(f, "_rref_mod_p")]
+    recursive = [f.name for f in functions if calls(f, f.name)]
+    assert rref == []
+    assert recursive == ["_kernel_from_chain"]
