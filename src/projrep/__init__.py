@@ -22,7 +22,7 @@ from .cohomology import (
     cocycle_from_extension,
     inflate_coclass,
     is_cocycle,
-    is_trivial_coclass_numeric,
+    is_trivial_coclass,
     pi_part,
     restrict_coclass,
     schur_multiplier,

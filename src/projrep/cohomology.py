@@ -20,6 +20,14 @@ solution and cokernel is read off one Smith decomposition over Z/p^k per
 solve, so FL is decomposed once per prime.  _kernel_from_chain makes kernel
 generators canonical, so basis cocycles do not depend on how the solve went.
 All of it is exact integer arithmetic, checked against the matrices solved.
+resolve and the relation kernel read only the rows of the entries a(x, g),
+since a cocycle that vanishes there vanishes everywhere.
+
+Triviality and order of a class need no multiplier: mu_n_exponents moves a
+table, complex or exponents, to a cohomologous mu_n-valued one (n = |G|)
+whose rows sum to zero, and that is trivial in H^2(G, C*) iff it is the
+coboundary of a Z/n-valued cochain, one congruence per Cayley-graph edge off
+a BFS tree, tested against a left annihilator computed once per group.
 Everything here is immutable after construction; the solver context is
 read-only and safe to share.
 """
@@ -48,6 +56,7 @@ from .groups import (
     factorize,
     quotient_group,
 )
+from .tolerances import TOL_UNIT
 
 DEFAULT_H2_CAP = 60
 
@@ -360,6 +369,39 @@ def _unflat(v: np.ndarray, n: int) -> np.ndarray:
     return tab
 
 
+def _generators(G: FiniteGroup) -> list[int]:
+    """The distinct nonidentity elements of G.gen_set()."""
+    return [g for g in dict.fromkeys(G.gen_set()) if g]
+
+
+def _cayley_tree(G: FiniteGroup) -> list[tuple[int, int, int]]:
+    """A BFS tree of the right Cayley graph, rooted at 1 and its generators.
+
+    Each edge (y, b, z) reaches z = y * gens[b] for the first time, in BFS
+    order; the generators themselves hang off the root.
+    """
+    if "cayley_tree" in G._cache:
+        return G._cache["cayley_tree"]
+    gens = _generators(G)
+    seen = np.zeros(G.order, dtype=bool)
+    seen[0] = True
+    seen[gens] = True
+    tree = []
+    frontier = gens
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for b, g in enumerate(gens):
+                z = int(G.mul[y, g])
+                if seen[z]:
+                    continue
+                seen[z] = True
+                tree.append((y, b, z))
+                nxt.append(z)
+        frontier = nxt
+    return G._cache.setdefault("cayley_tree", tree)
+
+
 def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """Normalized cocycles in generator coordinates: (L, FL).
 
@@ -375,33 +417,33 @@ def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     indexing rows of L, so F itself is never formed.
     """
     n = G.order
-    gens = [g for g in dict.fromkeys(G.gen_set()) if g]
+    gens = _generators(G)
     m = n - 1
     xs = np.arange(1, n)
     lift = np.zeros((n, n, len(gens) * m), dtype=np.int64)
     for b, g in enumerate(gens):
         lift[xs, g, b * m + xs - 1] = 1
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    seen[gens] = True
-    frontier = gens
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for g in gens:
-                z = int(G.mul[y, g])
-                if seen[z]:
-                    continue
-                seen[z] = True
-                lift[:, z] = lift[:, y] + lift[G.mul[:, y], g] - lift[y, g]
-                nxt.append(z)
-        frontier = nxt
+    for y, b, z in _cayley_tree(G):
+        g = gens[b]
+        lift[:, z] = lift[:, y] + lift[G.mul[:, y], g] - lift[y, g]
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     xf, yf = X.reshape(-1), Y.reshape(-1)
     xy = G.mul[xf, yf]
     FL = np.concatenate([lift[xf, yf] + lift[xy, g] - lift[yf, g]
                          - lift[xf, G.mul[yf, g]] for g in gens])
     return lift[xf, yf], FL
+
+
+def _edge_rows(G: FiniteGroup) -> np.ndarray:
+    """Flat indices of the entries (x, g), x != 1 and g a generator.
+
+    A normalized cocycle that vanishes there vanishes everywhere, since
+    f(x, yg) = f(x, y) + f(xy, g) - f(y, g): so a combination of cocycle
+    columns is decided on these (|G|-1)*|gens| rows instead of (|G|-1)^2.
+    """
+    n = G.order
+    gens = np.array(_generators(G), dtype=np.int64)
+    return ((np.arange(n - 1)[:, None] * (n - 1)) + gens[None, :] - 1).ravel()
 
 
 def _distinct_nonzero_rows(M: np.ndarray) -> np.ndarray:
@@ -559,7 +601,9 @@ class SchurMultiplier:
         Solves  table = sum_i e_i basis_i + coboundary + carries  one prime
         at a time and combines the exponents by CRT.  With M = q r, q the
         p-part of the common modulus, the p-component of exp(2 pi i t / M)
-        is exp(2 pi i t r^-1 / q), so the target is t r^-1 mod q.
+        is exp(2 pi i t r^-1 / q), so the target is t r^-1 mod q.  Every
+        column is a cocycle, so the solve reads only the edge rows; the
+        solution is then checked on every row.
         """
         G = self.group
         n = G.order
@@ -569,15 +613,16 @@ class SchurMultiplier:
         t_flat = _flat(np.asarray(table, dtype=np.int64)) * (M_all // modulus)
         k_basis = len(self.invariants)
         crt: list[tuple[int, int]] = [(1, 0)] * k_basis
+        rows = _edge_rows(G)
         for p, e in factorize(M_all).items():
             q = p**e
             qp, tabs = self._prime_tables.get(p, (1, [None] * k_basis))
             basis = [np.zeros(t_flat.size, dtype=np.int64) if tab is None
                      else tab * (q // qp) for tab in tabs]
             A = np.column_stack(basis + [_boundaries(G, p)])
-            sol = solve_mod_prime_power(A, t_flat * pow(M_all // q, -1, q),
-                                        p, e)
-            if sol is None:
+            t = t_flat * pow(M_all // q, -1, q) % q
+            sol = solve_mod_prime_power(A[rows], t[rows], p, e)
+            if sol is None or np.any(_matmul_mod(A, sol[:, None], q)[:, 0] - t):
                 raise ModulusMismatch(
                     f"table is not a {G.name} cocycle class over the basis")
             for i in range(k_basis):
@@ -630,8 +675,13 @@ def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultipli
                 continue
             q = p**k
             Z = np.stack(zgens, axis=1)
-            rel = kernel_mod_prime_power(np.column_stack([Z, _boundaries(G, p)]),
-                                         p, k)
+            # every column is a cocycle: the relations are read off the
+            # edge rows and checked on all of them
+            ZB = np.column_stack([Z, _boundaries(G, p)])
+            rel = kernel_mod_prime_power(ZB[_edge_rows(G)], p, k)
+            if rel and np.any(_matmul_mod(ZB, np.stack(rel, axis=1), q)):
+                raise CrossCheckMismatch(
+                    f"a relation of {G.name} fails off the edge rows")
             pres = (np.stack(rel, axis=1)[:Z.shape[1]] if rel
                     else np.zeros((Z.shape[1], 0), dtype=np.int64))
             diag, uinv = _cokernel(pres, p, k)
@@ -800,34 +850,137 @@ def cocycle_from_extension(E: FiniteGroup,
     return c, quot
 
 
+# -- exact triviality and order ----------------------------------------------
+
+
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def numeric_coclass_order(c: Cocycle, seed: int = 0) -> int:
-    """The smallest k with c^k numerically trivial; k divides the modulus."""
-    for k in _divisors(c.modulus):
-        if is_trivial_coclass_numeric(c.group, c.power(k).unit_table(),
-                                      seed=seed):
-            return k
-    raise CrossCheckMismatch("the modulus-th power of a cocycle is not "
-                             "numerically trivial")
+def mu_n_exponents(G: FiniteGroup, table: np.ndarray,
+                   modulus: int | None = None) -> tuple[np.ndarray, float]:
+    """A cohomologous cocycle with values in mu_n, n = |G|, and its margin.
 
-
-def is_trivial_coclass_numeric(G: FiniteGroup, unit_table: np.ndarray,
-                               seed: int = 0) -> bool:
-    """True iff the twisted algebra over this table has a degree-1 block.
-
-    A degree-1 projective representation trivializes its cocycle, so this is
-    a class-triviality test that needs no exact arithmetic.  The verdict is
-    cached on G per (table, seed); the table enters the key as the SHA-256
-    of its bytes, which keeps a full catalog sweep's thousands of keys small.
+    ``table`` holds complex units, or exponents mod ``modulus``.  In turns,
+    t(x, y) = arg/2pi or a(x, y)/m; with S(x) = sum_z t(x, z), summing the
+    cocycle identity over z gives n t(x, y) = S(x) + S(y) - S(xy) mod 1, so
+    e = n t + S(xy) - S(x) - S(y) is an integer table, and e/n is t minus
+    the coboundary of S/n (Schur; Karpilovsky, *Projective Representations
+    of Finite Groups*, 1985).  Each row of e sums to 0, so e = delta(l)
+    forces n l = 0: e is trivial in H^2(G, C*) iff it is the coboundary of a
+    Z/n-valued cochain.  Exponent tables are exact (m must divide the
+    numerator of e); complex tables are rounded, and the worst rounding
+    distance is returned as the margin.  The cocycle identity of e is
+    checked exactly on the triples (x, y, g), g a generator, which imply
+    every other.  Raises CocycleMismatch on a table that is not a cocycle
+    within ``TOL_UNIT``.
     """
-    from .twisted import TwistedAlgebra, wedderburn
+    n = G.order
+    if modulus is None:
+        tab = np.asarray(table, dtype=np.complex128)
+        if tab.shape != (n, n):
+            raise ModulusMismatch("table shape does not match group order")
+        unit = float(np.max(np.abs(np.abs(tab) - 1.0)))
+        if unit > TOL_UNIT:
+            raise CocycleMismatch(f"cocycle values are {unit:.2e} off the "
+                                  "unit circle")
+        t = np.angle(tab) / (2 * np.pi)
+        s = t.sum(axis=1)
+        exact = n * t + s[G.mul] - s[:, None] - s[None, :]
+        e = np.rint(exact)
+        margin = float(np.max(np.abs(exact - e)))
+        if margin > TOL_UNIT:
+            raise CocycleMismatch(f"table is {margin:.2e} from a mu_{n} "
+                                  "cocycle")
+        e = e.astype(np.int64) % n
+    else:
+        m = int(modulus)
+        a = np.asarray(table, dtype=np.int64) % m
+        if a.shape != (n, n):
+            raise ModulusMismatch("table shape does not match group order")
+        s = a.sum(axis=1)
+        num = n * a + s[G.mul] - s[:, None] - s[None, :]
+        if np.any(num % m):
+            raise CocycleMismatch(f"table is not a cocycle mod {m}")
+        e, margin = (num // m) % n, 0.0
+    gens = _generators(G)
+    lhs = e[:, :, None] + e[:, gens][G.mul]
+    rhs = e[None, :, gens] + e[:, G.mul[:, gens]]
+    if np.any((lhs - rhs) % n):
+        raise CocycleMismatch("table violates the cocycle identity")
+    return e, margin
 
-    table = np.ascontiguousarray(unit_table, dtype=np.complex128)
-    key = ("trivial_numeric", hashlib.sha256(table.tobytes()).digest(), seed)
-    if key not in G._cache:
-        A = TwistedAlgebra(G, table)
-        G._cache[key] = 1 in wedderburn(A, seed=seed).degrees
-    return G._cache[key]
+
+def _coboundary_tests(G: FiniteGroup) -> tuple[tuple, list]:
+    """(edges, [(q, N_q)]): e in B^2(G, Z/n) iff N_q e[edges] = 0 mod q.
+
+    A normalized l: G -> Z/n with delta(l) = e is fixed by its values on the
+    generators: along the Cayley tree, l(yg) = l(y) + l(g) - e(y, g).  Each
+    edge (y, g) off the tree then asks l(y) + l(g) - l(yg) = e(y, g), one
+    congruence A l = B e[edges] mod n in |gens| unknowns, and agreement on
+    every edge (y, g) makes delta(l) = e everywhere.  Per prime power q of n,
+    the rows of U scaled by p^(k - v_i) (Smith form U A V = D mod q, v_i = k
+    past the rank) span the left annihilator of A, and Z/q is a Frobenius
+    ring, so B e lies in the column span iff they kill it: N_q = Ann B.
+    Computed once per group and checked against A.
+    """
+    if "coboundary_tests" in G._cache:
+        return G._cache["coboundary_tests"]
+    n = G.order
+    gens = _generators(G)
+    r = len(gens)
+    # edge (y, gens[b]), y != 1, is coordinate (y - 1) r + b of e[edges]
+    ys, bs = np.repeat(np.arange(1, n), r), np.tile(np.arange(r), n - 1)
+    edges = (ys, np.array(gens, dtype=np.int64)[bs])
+    # l(z) = coef[z] @ l(gens) + const[z] @ e[edges]
+    coef = np.zeros((n, r), dtype=np.int64)
+    const = np.zeros((n, ys.size), dtype=np.int64)
+    coef[gens, np.arange(r)] = 1
+    on_tree = np.zeros(ys.size, dtype=bool)
+    for y, b, z in _cayley_tree(G):
+        coef[z] = coef[y]
+        coef[z, b] += 1
+        const[z] = const[y]
+        const[z, (y - 1) * r + b] -= 1
+        on_tree[(y - 1) * r + b] = True
+    zs = G.mul[edges]
+    A = (coef[ys] - coef[zs] + np.eye(r, dtype=np.int64)[bs])[~on_tree]
+    B = (np.eye(ys.size, dtype=np.int64) + const[zs] - const[ys])[~on_tree]
+    rows = A.shape[0]
+    tests = []
+    for p, k in factorize(n).items():
+        q = p**k
+        vals, _, U = smith_mod_prime_power(A, p, k,
+                                           np.eye(rows, dtype=np.int64))
+        v = np.array(vals + [k] * (rows - len(vals)), dtype=np.int64)
+        ann = U * p ** (k - v)[:, None] % q
+        ann = ann[np.any(ann, axis=1)]
+        if np.any(_matmul_mod(ann, A, q)):
+            raise CrossCheckMismatch(f"an annihilator row fails w A = 0 mod {q}")
+        N = _matmul_mod(ann, B, q)
+        tests.append((q, N[np.any(N, axis=1)]))
+    out = (edges, tests)
+    return G._cache.setdefault("coboundary_tests", out)
+
+
+def _is_coboundary(G: FiniteGroup, e: np.ndarray) -> bool:
+    """True iff the mu_n exponent table e is delta of a Z/n-valued cochain."""
+    edges, tests = _coboundary_tests(G)
+    v = e[edges][:, None]
+    return not any(np.any(_matmul_mod(N, v, q)) for q, N in tests)
+
+
+def is_trivial_coclass(G: FiniteGroup, table: np.ndarray,
+                       modulus: int | None = None) -> bool:
+    """True iff the cocycle table (complex units, or exponents mod
+    ``modulus``) is a coboundary in C*: exact, with no eigen-solve."""
+    return _is_coboundary(G, mu_n_exponents(G, table, modulus)[0])
+
+
+def class_order(c: Cocycle) -> int:
+    """Order of the class of c in H^2(G, C*): the least k dividing the
+    modulus with c^k trivial, where k e represents c^k."""
+    n = c.group.order
+    e, _ = mu_n_exponents(c.group, c.table, c.modulus)
+    return next(k for k in _divisors(c.modulus)
+                if _is_coboundary(c.group, k * e % n))

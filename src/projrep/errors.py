@@ -58,7 +58,8 @@ class CrossCheckMismatch(ProjrepError):
 
 
 class CocycleMismatch(ProjrepError):
-    """Representations do not share a cocycle within tolerance."""
+    """A table is not a cocycle, or representations do not share one,
+    within tolerance."""
 
 
 class InertiaMismatch(ProjrepError):

@@ -51,6 +51,18 @@ def prime_divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(factorize(n)))
 
 
+def sorted_unique(a) -> np.ndarray:
+    """The sorted distinct entries of a, exactly as np.unique(a) returns them.
+
+    np.unique imports numpy.ma to rule out a masked array, about 14 ms in
+    every process that calls it; this is one sort and one comparison.
+    """
+    a = np.sort(np.asarray(a).ravel())
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 @dataclass(frozen=True)
 class PiSet:
     """A set of primes; the complement is taken against Pi(G) on demand."""
@@ -180,7 +192,7 @@ class FiniteGroup:
 
     def exponent(self) -> int:
         out = 1
-        for k in np.unique(self.element_orders()):
+        for k in sorted_unique(self.element_orders()):
             out = out * int(k) // _gcd(out, int(k))
         return out
 
@@ -319,7 +331,7 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, elements):
         self.parent = parent
-        el = np.unique(np.asarray(list(elements), dtype=np.int64))
+        el = sorted_unique(np.asarray(list(elements), dtype=np.int64))
         if el.size == 0 or el[0] != 0:
             raise ValueError("subgroups must contain the identity")
         self.elements = el
@@ -413,7 +425,7 @@ def conjugacy_classes(G: FiniteGroup) -> list["ConjClass"]:
     for x in range(n):
         if assigned[x] >= 0:
             continue
-        members = np.unique(G.mul[G.mul[G.inv, x][rng], rng])
+        members = sorted_unique(G.mul[G.mul[G.inv, x][rng], rng])
         assigned[members] = len(out)
         cent = n // members.size
         if cent * members.size != n:
@@ -473,7 +485,7 @@ def derived_subgroup(G: FiniteGroup, elements) -> Subgroup:
     for g in el:
         # [g, h] = g^-1 h^-1 g h for all h in the set at once
         t = G.mul[G.mul[G.mul[G.inv[g], G.inv[el]], g], el]
-        comms.update(int(v) for v in np.unique(t))
+        comms.update(int(v) for v in sorted_unique(t))
     return Subgroup(G, closure(G, comms))
 
 
@@ -592,7 +604,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> Quotient:
     if not N.is_normal():
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
     first = G.mul[:, N.elements].min(axis=1)
-    section = np.unique(first)
+    section = sorted_unique(first)
     proj = np.searchsorted(section, first)
     mul_q = proj[G.mul[np.ix_(section, section)]]
     Qg = _derived_group(mul_q, f"{G.name}/{N.order}")

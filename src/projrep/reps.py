@@ -22,12 +22,16 @@ from .errors import (
     NumericDegeneracy,
     PhaseInstability,
 )
-from .groups import FiniteGroup, Quotient, Subgroup, conjugacy_classes, quotient_group
+from .groups import (
+    FiniteGroup,
+    Quotient,
+    Subgroup,
+    conjugacy_classes,
+    quotient_group,
+    sorted_unique,
+)
+from .tolerances import TOL_CHECK, TOL_DEFECT, TOL_GAP, TOL_UNITARY
 from .twisted import (
-    TOL_CHECK,
-    TOL_DEFECT,
-    TOL_GAP,
-    TOL_UNITARY,
     RegularClassData,
     TwistedAlgebra,
     _cluster,
@@ -521,7 +525,7 @@ def induce_rep(r: ProjRep, H: Subgroup, A: TwistedAlgebra) -> ProjRep:
     n = G.order
     # each coset gH is represented by its minimal element
     first = G.mul[:, H.elements].min(axis=1)
-    reps = np.unique(first)
+    reps = sorted_unique(first)
     coset_of = np.searchsorted(reps, first)
     k = reps.size
     d = r.degree

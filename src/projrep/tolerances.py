@@ -1,0 +1,23 @@
+"""Every numerical threshold of the package, in one table.
+
+Degree integrality needs none: a block rank is an integer, tested as an
+exact square.  Class triviality and order need none either: they are exact
+integer decisions, and ``TOL_UNIT`` only bounds how far a complex table lies
+from the exact cocycle it is rounded to.  Reports carry ``TOLERANCES``.
+"""
+
+TOL_GAP = 1e-8       # relative to the spectrum: eigen-clusters and ranks
+TOL_DEFECT = 1e-8    # absolute: Hermitian, idempotent, rep and trace defects
+TOL_UNIT = 1e-9      # unit modulus, normalization, class sums and rounding
+TOL_COCYCLE = 1e-12  # per element: the multiplicative cocycle identity
+TOL_UNITARY = 1e-7   # a rescaled intertwiner is unitary
+TOL_CHECK = 1e-6     # table, character and residual comparisons
+
+TOLERANCES = {
+    "gap": TOL_GAP,
+    "defect": TOL_DEFECT,
+    "unit": TOL_UNIT,
+    "cocycle": TOL_COCYCLE,
+    "unitary": TOL_UNITARY,
+    "check": TOL_CHECK,
+}

@@ -16,24 +16,7 @@ import numpy as np
 from .cohomology import Cocycle
 from .errors import CrossCheckMismatch, DegreeNotIntegral, NumericDegeneracy
 from .groups import FiniteGroup, conjugacy_classes
-
-# Every numerical threshold of the package.  Degree integrality needs none:
-# a block rank is an integer, tested as an exact square.
-TOL_GAP = 1e-8       # relative to the spectrum: eigen-clusters and ranks
-TOL_DEFECT = 1e-8    # absolute: Hermitian, idempotent, rep and trace defects
-TOL_UNIT = 1e-9      # unit modulus, normalization and nonzero class sums
-TOL_COCYCLE = 1e-12  # per element: the multiplicative cocycle identity
-TOL_UNITARY = 1e-7   # a rescaled intertwiner is unitary
-TOL_CHECK = 1e-6     # table, character and residual comparisons
-
-TOLERANCES = {
-    "gap": TOL_GAP,
-    "defect": TOL_DEFECT,
-    "unit": TOL_UNIT,
-    "cocycle": TOL_COCYCLE,
-    "unitary": TOL_UNITARY,
-    "check": TOL_CHECK,
-}
+from .tolerances import TOL_CHECK, TOL_COCYCLE, TOL_DEFECT, TOL_GAP, TOL_UNIT
 
 WEDDERBURN_RETRIES = 5
 

@@ -17,8 +17,8 @@ from .cohomology import (
     DEFAULT_H2_CAP,
     Cocycle,
     Coclass,
-    is_trivial_coclass_numeric,
-    numeric_coclass_order,
+    class_order,
+    is_trivial_coclass,
     pi_part,
     restrict_coclass,
 )
@@ -92,13 +92,12 @@ class CoclassContext:
 
     @property
     def order(self) -> int:
-        """Order of the coclass; symbolic when available, else numeric."""
+        """Order of the coclass: symbolic when available, else exact from
+        the table."""
         if "order" not in self._cache:
-            if self.coclass is not None:
-                self._cache["order"] = self.coclass.order
-            else:
-                self._cache["order"] = numeric_coclass_order(
-                    self.cocycle, seed=self.seed)
+            self._cache["order"] = (class_order(self.cocycle)
+                                    if self.coclass is None
+                                    else self.coclass.order)
         return self._cache["order"]
 
     def restricted(self, H: Subgroup) -> "CoclassContext":
@@ -110,8 +109,9 @@ class CoclassContext:
         return self._cache[key]
 
     def restriction_trivial(self, H: Subgroup) -> bool:
-        """Numeric degree-one test on the restricted algebra."""
-        return 1 in self.restricted(H).degrees
+        """Exact triviality of the restricted cocycle class."""
+        rc = self.restricted(H).cocycle
+        return is_trivial_coclass(rc.group, rc.table, rc.modulus)
 
 
 @dataclass
@@ -198,8 +198,7 @@ def verify_basic(ctx: CoclassContext,
             continue
         H = hall_subgroup(G, pi)
         side_order = pi.part(o) == 1          # Pi(c) inside pi'
-        side_degree_one = ctx.restriction_trivial(H)
-        sides = [side_order, side_degree_one]
+        sides = [side_order, ctx.restriction_trivial(H)]
         if ctx.coclass is not None and H.order <= h2_cap:
             try:
                 sides.append(restrict_coclass(ctx.coclass, H,
@@ -255,8 +254,7 @@ def verify_clifford_laws(ctx: CoclassContext, N: Subgroup,
     pi_n = set(prime_divisors(N.order))
     pi_q = set(prime_divisors(J.order // N.order))
     if not (pi_n & pi_q) and set(prime_divisors(ctx.order)) <= pi_n:
-        checks["coprime_extension"] = is_trivial_coclass_numeric(
-            quot_group, ext.b_table, seed=ctx.seed)
+        checks["coprime_extension"] = is_trivial_coclass(quot_group, ext.b_table)
     # pi'-degree members force J to contain a Hall pi-subgroup
     ps = prime_divisors(G.order)
     for pi in [PiSet([p]) for p in ps]:
@@ -569,24 +567,19 @@ def pi_decompose(V: ProjRep, pi: PiSet, ctx: CoclassContext
         H_loc.order == 1 or is_irreducible(restrict_rep(V_pi, H_loc))
     checks["pip_part_irreducible_on_hall"] = \
         Hp_loc.order == 1 or is_irreducible(restrict_rep(V_pip, Hp_loc))
-    # cross restrictions are ordinary (numerically trivial cocycles)
+    # cross restrictions are ordinary (trivial cocycle classes)
     checks["pip_on_hall_pi_ordinary"] = H_loc.order == 1 or \
-        is_trivial_coclass_numeric(H_loc.as_group(),
-                                   restrict_rep(V_pip, H_loc).table,
-                                   seed=ctx.seed)
+        is_trivial_coclass(H_loc.as_group(), restrict_rep(V_pip, H_loc).table)
     checks["pi_on_hall_pip_ordinary"] = Hp_loc.order == 1 or \
-        is_trivial_coclass_numeric(Hp_loc.as_group(),
-                                   restrict_rep(V_pi, Hp_loc).table,
-                                   seed=ctx.seed)
+        is_trivial_coclass(Hp_loc.as_group(), restrict_rep(V_pi, Hp_loc).table)
     # coclass identification against the symbolic pi-parts
     if ctx.coclass is not None:
         c_pi, c_pip = pi_part(ctx.coclass, pi)
         for nameq, part, rep in (("pi", c_pi, V_pi), ("pip", c_pip, V_pip)):
             res_tab = part.representative.unit_table()[
                 np.ix_(J.elements, J.elements)]
-            diff = rep.table * np.conj(res_tab)
-            checks[f"coclass_{nameq}_identified"] = is_trivial_coclass_numeric(
-                Jf, diff, seed=ctx.seed)
+            checks[f"coclass_{nameq}_identified"] = is_trivial_coclass(
+                Jf, rep.table * np.conj(res_tab))
         witnesses["c_pi_order"] = c_pi.order
         witnesses["c_pip_order"] = c_pip.order
     # degree identities

@@ -32,7 +32,8 @@ from .groups import (
     o_pi,
     prime_divisors,
 )
-from .twisted import TOLERANCES, wedderburn
+from .tolerances import TOLERANCES
+from .twisted import wedderburn
 from .verify import (
     CheckResult,
     CoclassContext,

@@ -13,7 +13,7 @@ import pytest
 from projrep.catalog import catalog, coclass_contexts, get_group
 from projrep.cohomology import (
     cocycle_from_extension,
-    is_trivial_coclass_numeric,
+    is_trivial_coclass,
     schur_multiplier,
 )
 from projrep.groups import (
@@ -115,7 +115,7 @@ def test_criterion_03_brute_force_c2xc2():
         placed = False
         for cls in classes:
             quot = cocycles[i] * cocycles[cls[0]]  # mu_2: inverse = itself
-            if is_trivial_coclass_numeric(G, quot.astype(np.complex128)):
+            if is_trivial_coclass(G, quot.astype(np.complex128)):
                 cls.append(i)
                 placed = True
                 break
@@ -124,7 +124,7 @@ def test_criterion_03_brute_force_c2xc2():
     assert len(classes) == 2
     trivial_cls = next(cls for cls in classes
                        if np.all(cocycles[cls[0]] == 1)
-                       or is_trivial_coclass_numeric(
+                       or is_trivial_coclass(
                            G, cocycles[cls[0]].astype(np.complex128)))
     nontrivial = next(cls for cls in classes if cls is not trivial_cls)
     A = TwistedAlgebra(G, cocycles[nontrivial[0]].astype(np.complex128))

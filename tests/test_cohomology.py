@@ -19,7 +19,7 @@ from projrep.cohomology import (
     cocycle_from_extension,
     inflate_coclass,
     is_cocycle,
-    is_trivial_coclass_numeric,
+    is_trivial_coclass,
     kernel_mod_prime_power,
     pi_part,
     restrict_coclass,
@@ -316,7 +316,7 @@ def test_cocycle_from_extension_c4():
     Z = Subgroup(C4, [0, 2])
     c, quot = cocycle_from_extension(C4, Z)
     assert quot.group.order == 2
-    assert is_trivial_coclass_numeric(quot.group, c.unit_table())
+    assert is_trivial_coclass(quot.group, c.unit_table())
 
 
 def test_cocycle_from_extension_q8(q8g):
@@ -325,7 +325,7 @@ def test_cocycle_from_extension_q8(q8g):
     assert quot.group.order == 4
     A = TwistedAlgebra.from_cocycle(c)
     assert wedderburn(A, seed=0).degrees == [2]
-    assert not is_trivial_coclass_numeric(quot.group, c.unit_table())
+    assert not is_trivial_coclass(quot.group, c.unit_table())
 
 
 def test_cocycle_from_extension_not_central(s4g):
@@ -378,6 +378,23 @@ def test_resolve_roundtrip(s4g, d4g):
                                                      size=G.order - 1)])
             pert = c.representative.mul(Cochain1(G, G.order, vals).coboundary())
             assert m.resolve(pert.table, pert.modulus) == c.vector, G.name
+
+
+def test_edge_rows_decide_and_all_rows_check(s4g, monkeypatch):
+    # resolve and the relation kernel solve on the entries (x, g) only; a
+    # table that breaks the cocycle identity elsewhere must still fail
+    m = schur_multiplier(s4g)
+    gens = set(cohomology._generators(s4g))
+    y = next(y for y in range(2, s4g.order) if y not in gens)
+    bad = np.array(m.coclasses()[1].representative.table)
+    bad[1, y] += 1
+    with pytest.raises(ModulusMismatch):
+        m.resolve(bad, m.modulus)
+    # too few rows: the relations found are checked on every row
+    monkeypatch.setattr(cohomology, "_edge_rows", lambda G: np.arange(1))
+    fresh = build_group(direct_gens([[2, 1]], 2, [[2, 1]], 2), name="C2xC2")
+    with pytest.raises(CrossCheckMismatch):
+        schur_multiplier(fresh)
 
 
 def test_solver_brute_force_small():

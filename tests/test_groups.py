@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from projrep.catalog import catalog, get_group
 from projrep.errors import ClosureTooLarge, NotNormal, NotPermutation, NotPiSeparable
@@ -22,6 +25,7 @@ from projrep.groups import (
     o_pi,
     pi_series,
     quotient_group,
+    sorted_unique,
     sylow_subgroup,
 )
 
@@ -402,3 +406,13 @@ def test_pi_set_arithmetic():
     assert PiSet([]).part(12) == 1
     assert PiSet([2]).is_pi_number(8)
     assert not PiSet([2]).is_pi_number(12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=arrays(st.sampled_from([np.int64, np.intp, np.int32]),
+                array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+                elements=st.integers(-5, 5)))
+def test_sorted_unique_is_np_unique_byte_for_byte(a):
+    got, want = sorted_unique(a), np.unique(a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -63,11 +63,11 @@ def test_multiplier_cached_only_by_its_solver():
 
 
 def test_thresholds_only_in_the_tolerance_block():
-    # every numerical threshold is a TOL_ constant at the top of twisted.py,
-    # so the reported tolerance table is the one the checks use; rounding
-    # to a number of decimals is a threshold too
+    # every numerical threshold is a TOL_ constant of tolerances.py, so the
+    # reported tolerance table is the one the checks use; rounding to a
+    # number of decimals is a threshold too
     def in_block(path, node):
-        return (path.name == "twisted.py" and isinstance(node, ast.Assign)
+        return (path.name == "tolerances.py" and isinstance(node, ast.Assign)
                 and all(isinstance(t, ast.Name) and t.id.startswith("TOL_")
                         for t in node.targets))
 
@@ -109,3 +109,27 @@ def test_one_elimination_over_prime_powers():
     recursive = [f.name for f in functions if calls(f, f.name)]
     assert rref == []
     assert recursive == ["_kernel_from_chain"]
+
+
+def test_exact_class_decisions_stand_apart_from_the_algebra():
+    # class triviality and order are integer decisions in cohomology.py: it
+    # imports nothing from twisted.py, and the numeric test, its order loop
+    # and its memo are gone
+    path = PACKAGE / "cohomology.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    def modules(node):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            return [base] + [f"{base}.{a.name}" for a in node.names]
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        return []
+
+    imported = [node.lineno for node in ast.walk(tree)
+                if any(m.split(".")[-1] == "twisted" for m in modules(node))]
+    assert imported == []
+    deleted = ("is_trivial_coclass_numeric", "numeric_coclass_order",
+               "trivial_numeric")
+    found = [f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in deleted if name in path.read_text()]
+    assert found == []

@@ -13,8 +13,8 @@ from projrep.catalog import catalog, coclass_contexts, entry, get_group
 from projrep.cli import main
 from projrep.errors import ConfigError, ParseError, UnknownGroup
 from projrep.groups import is_solvable, is_p_solvable
-from projrep import twisted, workbench
-from projrep.twisted import TOLERANCES
+from projrep import tolerances, workbench
+from projrep.tolerances import TOLERANCES
 from projrep.workbench import (
     RunConfig,
     _worker_count,
@@ -161,9 +161,10 @@ def test_run_small_sweep(tmp_path):
 
 def test_reports_carry_the_tolerance_table(tmp_path):
     # one entry per TOL_ constant, so no threshold goes unreported
-    names = {n for n in vars(twisted) if n.startswith("TOL_")}
+    names = {n for n in vars(tolerances) if n.startswith("TOL_")}
     assert {"TOL_" + key.upper() for key in TOLERANCES} == names
-    assert all(TOLERANCES[n[4:].lower()] == getattr(twisted, n) for n in names)
+    assert all(TOLERANCES[n[4:].lower()] == getattr(tolerances, n)
+               for n in names)
     run(RunConfig(groups=["S3"], checks=["basic"], out=tmp_path))
     for line in (tmp_path / "results.jsonl").read_text().splitlines():
         assert json.loads(line)["tolerances"] == TOLERANCES
@@ -258,6 +259,23 @@ def test_import_pins_openblas_to_one_thread_by_default():
                              capture_output=True, text=True, timeout=120,
                              check=True).stdout
         assert out.strip() == expected
+
+
+def test_single_shots_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma (about 14 ms a process); the package sorts
+    # and compares instead, so no single shot pays for it
+    src = str(os.path.dirname(os.path.dirname(workbench.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = ("import atexit, sys; from projrep.cli import entry; "
+             "atexit.register(lambda: print('numpy.ma' in sys.modules, "
+             "file=sys.stderr)); entry()")
+    for command in (["multiplier", "S4"], ["verify", "S4"]):
+        done = subprocess.run([sys.executable, "-c", probe, *command],
+                              env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stderr.strip().splitlines()[-1] == "False", command
 
 
 def test_cli_degrees():
