@@ -43,6 +43,7 @@ from .errors import (
     CocycleMismatch,
     CrossCheckMismatch,
     GroupTooLargeForH2,
+    LiftOverflow,
     ModulusMismatch,
     NotCentral,
     NotCyclic,
@@ -154,17 +155,19 @@ def smith_mod_prime_power(A: np.ndarray, p: int, k: int, extra=None):
     itself, rows x rows, is never formed.
     """
     q = p**k
-    A = np.asarray(A, dtype=np.int64)
+    A = np.asarray(A)
     if A.ndim != 2:
         raise ModulusMismatch(f"matrix of shape {A.shape}")
     rows, cols = A.shape
-    X = np.zeros((rows, 0), dtype=np.int64) if extra is None else extra
+    X = np.zeros((rows, 0), dtype=np.int8) if extra is None else np.asarray(extra)
     # entries are reduced only where read and move by less than q^2 a step,
-    # so any integer type that holds q + rank * q^2 is exact; narrow is fast
+    # so any integer type that holds q + rank * q^2 is exact; narrow is fast,
+    # and A and extra are reduced straight into it
     bound = q + min(rows, cols) * q * q
-    W = np.concatenate([A, np.asarray(X, dtype=np.int64)], axis=1) % q
-    W = W.astype(np.int16 if bound < 2**15 else
-                 np.int32 if bound < 2**31 else np.int64)
+    W = np.empty((rows, cols + X.shape[1]), dtype=np.int16 if bound < 2**15
+                 else np.int32 if bound < 2**31 else np.int64)
+    np.remainder(A, W.dtype.type(q), out=W[:, :cols])
+    np.remainder(X, W.dtype.type(q), out=W[:, cols:])
     V = np.eye(cols, dtype=np.int64)
     vals: list[int] = []
     s = v = lo = 0
@@ -198,11 +201,26 @@ def smith_mod_prime_power(A: np.ndarray, p: int, k: int, extra=None):
     return vals, V, (W[:, cols:] % q).astype(np.int64)
 
 
+# float64 entries per row block of _matmul_mod's left factor
+_MATMUL_BLOCK = 1 << 18
+
+
 def _matmul_mod(X: np.ndarray, Y: np.ndarray, q: int) -> np.ndarray:
     """X @ Y mod q, in float64 on entries reduced mod q: exact while
-    X.shape[1] * q^2 < 2^53, far above the sizes and moduli used here."""
-    prod = (X % q).astype(np.float64) @ (Y % q).astype(np.float64)
-    return prod.astype(np.int64) % q
+    X.shape[1] * q^2 < 2^53, far above the sizes and moduli used here.
+    X is taken in row blocks, so its float copy stays bounded."""
+    rows, inner = X.shape
+    # reduce in X's own integer type where q fits it: narrow is fast
+    wide = np.int64 if q > np.iinfo(X.dtype).max else X.dtype
+    Yf = (np.asarray(Y, dtype=np.int64) % q).astype(np.float64)
+    out = np.empty((rows, Y.shape[1]), dtype=np.int64)
+    step = max(1, _MATMUL_BLOCK // max(inner, 1))
+    for i in range(0, rows, step):
+        block = out[i:i + step]
+        block[...] = np.remainder(X[i:i + step], q, dtype=wide).astype(
+            np.float64) @ Yf
+        block %= q
+    return out
 
 
 def _kernel_chain(M: np.ndarray, p: int, k: int) -> list[np.ndarray]:
@@ -288,11 +306,11 @@ class Cocycle:
                 raise ModulusMismatch("table violates the cocycle identity")
 
     def is_cocycle(self) -> bool:
-        """Exact check of a(x,y)+a(xy,z) = a(y,z)+a(x,yz) mod m on all triples."""
+        """Exact check of a(x,y)+a(xy,z) = a(y,z)+a(x,yz) mod m on all
+        triples, one x at a time, so no (n, n, n) array is formed."""
         t, mul, m = self.table, self.group.mul, self.modulus
-        lhs = t[:, :, None] + t[mul, :]
-        rhs = t[None, :, :] + t[:, mul]
-        return bool(np.all((lhs - rhs) % m == 0))
+        return not any(np.any((t[x][:, None] + t[mul[x]] - t - t[x][mul]) % m)
+                       for x in range(len(t)))
 
     def unit_table(self) -> np.ndarray:
         return np.exp(2j * np.pi * self.table / self.modulus)
@@ -402,6 +420,10 @@ def _cayley_tree(G: FiniteGroup) -> list[tuple[int, int, int]]:
     return G._cache.setdefault("cayley_tree", tree)
 
 
+# |entries| of the int8 lift: four of them sum without leaving int8
+_LIFT_BOUND = 127 // 4
+
+
 def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """Normalized cocycles in generator coordinates: (L, FL).
 
@@ -415,17 +437,25 @@ def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     generators g, which suffice (F of a longer word z*g is an integer
     combination of F(., ., z) and F(., ., g) rows).  FL is built by
     indexing rows of L, so F itself is never formed.
+
+    Both are int8.  While every entry of L stays within _LIFT_BOUND, the
+    three-term steps and the four-term rows of FL cannot leave the int8
+    range, so nothing wraps; an entry past the bound raises LiftOverflow.
     """
     n = G.order
     gens = _generators(G)
     m = n - 1
     xs = np.arange(1, n)
-    lift = np.zeros((n, n, len(gens) * m), dtype=np.int64)
+    lift = np.zeros((n, n, len(gens) * m), dtype=np.int8)
     for b, g in enumerate(gens):
         lift[xs, g, b * m + xs - 1] = 1
     for y, b, z in _cayley_tree(G):
         g = gens[b]
-        lift[:, z] = lift[:, y] + lift[G.mul[:, y], g] - lift[y, g]
+        col = lift[:, y] + lift[G.mul[:, y], g] - lift[y, g]
+        if np.abs(col).max(initial=0) > _LIFT_BOUND:
+            raise LiftOverflow(f"a lift entry of {G.name} exceeds "
+                               f"{_LIFT_BOUND} in absolute value")
+        lift[:, z] = col
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     xf, yf = X.reshape(-1), Y.reshape(-1)
     xy = G.mul[xf, yf]
@@ -449,14 +479,14 @@ def _edge_rows(G: FiniteGroup) -> np.ndarray:
 def _distinct_nonzero_rows(M: np.ndarray) -> np.ndarray:
     """The first copy of each distinct nonzero row of M, in order.
 
-    A function of its own so that the row-bytes keys, as large as M, are
-    freed before the solves that follow.
+    Each row is viewed as one opaque np.void key, so np.unique compares
+    whole rows at once and returns the first index of each (asked for
+    indices, it also skips its numpy.ma import).
     """
-    M = M[np.any(M, axis=1)]
-    first: dict[bytes, int] = {}
-    for i, row in enumerate(M):
-        first.setdefault(row.tobytes(), i)
-    return M[list(first.values())]
+    M = np.ascontiguousarray(M[np.any(M, axis=1)])
+    keys = M.view(np.dtype((np.void, M.itemsize * M.shape[1])))[:, 0]
+    first = np.unique(keys, return_index=True)[1]
+    return M[np.sort(first)]
 
 
 def _cocycle_generators(L: np.ndarray, FL: np.ndarray, p: int,
@@ -469,7 +499,7 @@ def _cocycle_generators(L: np.ndarray, FL: np.ndarray, p: int,
     are dropped first: the row space, hence every kernel, stays the same.
     """
     chain = _kernel_chain(_distinct_nonzero_rows(FL), p, k)
-    return _kernel_from_chain([_matmul_mod(u, L.T, p**j)
+    return _kernel_from_chain([np.ascontiguousarray(_matmul_mod(L, u.T, p**j).T)
                                for j, u in enumerate(chain, 1)], p)
 
 
@@ -477,20 +507,17 @@ def _coboundary_columns(G: FiniteGroup) -> np.ndarray:
     """delta of the unit 1-cochains, one flattened column per nonidentity g."""
     if "delta_cols" in G._cache:
         return G._cache["delta_cols"]
-    n = G.order
-    if n == 1:
-        return np.zeros((0, 0), dtype=np.int64)
-    cols = []
-    for g in range(1, n):
-        tab = np.zeros((n, n), dtype=np.int64)
-        tab[g, :] += 1
-        tab[:, g] += 1
-        tab[G.mul == g] -= 1
-        cols.append(_flat(tab))
-    out = np.stack(cols, axis=1)
+    m = G.order - 1
+    # entry (x, y) of column g is [x = g] + [y = g] - [xy = g], in {-1..2}
+    r = np.arange(m * m)
+    x, y = r // m + 1, r % m + 1
+    xy = G.mul[x, y]
+    out = np.zeros((m * m, m), dtype=np.int8)
+    np.add.at(out, (r, x - 1), 1)
+    np.add.at(out, (r, y - 1), 1)
+    np.add.at(out, (r[xy != 0], xy[xy != 0] - 1), -1)
     out.setflags(write=False)
-    G._cache["delta_cols"] = out
-    return out
+    return G._cache.setdefault("delta_cols", out)
 
 
 def _character_carries(G: FiniteGroup) -> list[tuple[int, np.ndarray]]:
@@ -528,7 +555,7 @@ def _character_carries(G: FiniteGroup) -> list[tuple[int, np.ndarray]]:
                 values = np.concatenate([[0], gen])
                 vg = values[proj]
                 carry = (vg[:, None] + vg[None, :] - values[proj[G.mul]]) // q
-                out.append((ell, _flat(carry)))
+                out.append((ell, _flat(carry).astype(np.int8)))
     G._cache["carries"] = out
     return out
 
@@ -666,15 +693,19 @@ def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultipli
     if n > 1:
         L, FL = _generator_lift(G)
         # the lift is the largest array of the solve: free it before the
-        # relation kernels and Smith forms
-        by_prime = {p: (e // 2, _cocycle_generators(L, FL, p, e // 2))
-                    for p, e in factorize(n).items() if e // 2}
+        # relation kernels and Smith forms.  Z holds entries below q, kept
+        # as int8 wherever q allows.
+        by_prime = {}
+        for p, e in factorize(n).items():
+            if e // 2:
+                Z = np.array(_cocycle_generators(L, FL, p, e // 2), ndmin=2,
+                             dtype=np.int8 if p ** (e // 2) <= 2**7 else np.int64)
+                by_prime[p] = (e // 2, Z.T)
         del L, FL
-        for p, (k, zgens) in by_prime.items():
-            if not zgens:
+        for p, (k, Z) in by_prime.items():
+            if not Z.size:
                 continue
             q = p**k
-            Z = np.stack(zgens, axis=1)
             # every column is a cocycle: the relations are read off the
             # edge rows and checked on all of them
             ZB = np.column_stack([Z, _boundaries(G, p)])
@@ -685,10 +716,11 @@ def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultipli
             pres = (np.stack(rel, axis=1)[:Z.shape[1]] if rel
                     else np.zeros((Z.shape[1], 0), dtype=np.int64))
             diag, uinv = _cokernel(pres, p, k)
-            plist = [(d, (Z @ uinv[:, slot]) % q)
-                     for slot, d in enumerate(diag) if d > 1]
-            if plist:
-                parts[p] = plist  # ascending prime-power orders
+            slots = [slot for slot, d in enumerate(diag) if d > 1]
+            if slots:  # ascending prime-power orders
+                tabs = _matmul_mod(Z, uinv[:, slots], q)
+                parts[p] = [(diag[s], np.ascontiguousarray(tabs[:, i]))
+                            for i, s in enumerate(slots)]
     # merge the p-parts into invariant factors d_1 | d_2 | ...
     width = max((len(v) for v in parts.values()), default=0)
     invariants = []

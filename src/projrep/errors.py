@@ -53,6 +53,10 @@ class DegreeNotIntegral(ProjrepError):
     """A block rank is not a perfect square, or the degrees miss |G|."""
 
 
+class LiftOverflow(ProjrepError):
+    """A generator-lift entry outgrew the narrow integer type it is kept in."""
+
+
 class CrossCheckMismatch(ProjrepError):
     """Two independent computations of the same quantity disagree."""
 

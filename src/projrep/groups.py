@@ -147,8 +147,9 @@ class FiniteGroup:
         if not np.all(self.mul[self.inv, rng] == 0) or not np.all(self.mul[rng, self.inv] == 0):
             raise ValueError("inverse law fails")
         if n <= 256:
-            # (ab)c == a(bc) on all triples, chunked over a to bound memory
-            step = max(1, 4096 // max(n, 1))
+            # (ab)c == a(bc) on all triples, chunked over a so that each
+            # chunk holds about 32k entries
+            step = max(1, 32768 // max(n * n, 1))
             for a0 in range(0, n, step):
                 a1 = min(n, a0 + step)
                 if not np.array_equal(self.mul[self.mul[a0:a1]],

@@ -1,6 +1,8 @@
 """Tests for cocycles, the multiplier pipeline, and coclass arithmetic."""
 
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from projrep.cohomology import (
     Cochain1,
     Cocycle,
     _cocycle_generators,
+    _coboundary_columns,
     _cokernel,
+    _distinct_nonzero_rows,
     _generator_lift,
     _kernel_from_chain,
     _rref_mod_p,
@@ -31,6 +35,7 @@ from projrep.cohomology import (
 from projrep.errors import (
     CrossCheckMismatch,
     GroupTooLargeForH2,
+    LiftOverflow,
     ModulusMismatch,
     NotCentral,
 )
@@ -619,3 +624,100 @@ def test_coclass_rejects_vectors_of_the_wrong_length(v4):
     for vector in ([1, 0], []):
         with pytest.raises(ValueError):
             m.coclass(vector)
+
+
+# -- the narrow Z^2 solve ------------------------------------------------------
+
+
+def _distinct_nonzero_rows_reference(M):
+    """The dict loop that the np.void keys replaced, kept verbatim."""
+    M = M[np.any(M, axis=1)]
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(M):
+        first.setdefault(row.tobytes(), i)
+    return M[list(first.values())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dtype=st.sampled_from([np.int8, np.int64]),
+       cols=st.integers(1, 6), data=st.data())
+def test_distinct_nonzero_rows_matches_the_dict_loop(dtype, cols, data):
+    # few distinct rows drawn with repeats, zero rows among them, so every
+    # case has duplicates to drop and an order of first copies to keep
+    pool = data.draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+        min_size=1, max_size=5))
+    pool.append([0] * cols)
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    M = np.array([pool[i] for i in picks], dtype=dtype).reshape(-1, cols)
+    got = _distinct_nonzero_rows(M)
+    want = _distinct_nonzero_rows_reference(M)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_a5_multiplier_stays_narrow():
+    from projrep.catalog import entry
+    G = entry("A5").build()   # a fresh group: nothing of its solve is cached
+    L, FL = _generator_lift(G)
+    assert L.dtype == np.int8 and FL.dtype == np.int8
+    assert _coboundary_columns(G).dtype == np.int8
+    G = entry("A5").build()
+    tracemalloc.start()
+    try:
+        mult = schur_multiplier(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mult.invariants == [2]
+    # about 7 MB with int8 lifts and blocked products, 18 MB with int64
+    assert peak < 10 * 2**20
+
+
+def test_lift_overflow_is_raised_not_wrapped(monkeypatch):
+    from projrep.catalog import get_group
+    G = get_group("C4")
+    monkeypatch.setattr(cohomology, "_LIFT_BOUND", 0)
+    with pytest.raises(LiftOverflow):
+        _generator_lift(G)
+
+
+def _is_cocycle_reference(c):
+    """The (n, n, n) check that the row-wise one replaced."""
+    t, mul, m = c.table, c.group.mul, c.modulus
+    lhs = t[:, :, None] + t[mul, :]
+    rhs = t[None, :, :] + t[:, mul]
+    return bool(np.all((lhs - rhs) % m == 0))
+
+
+def test_is_cocycle_fails_on_a_single_bad_row(s4g):
+    base = schur_multiplier(s4g).coclass([1]).representative
+    n, m = s4g.order, base.modulus
+    assert base.is_cocycle()
+    for x in range(1, n):
+        for y in (1, n - 1):
+            table = base.table.copy()
+            table[x, y] = (table[x, y] + 1) % m
+            c = Cocycle(s4g, m, table, check=False)
+            assert not c.is_cocycle()
+            assert not _is_cocycle_reference(c)
+
+
+def test_catalog_multipliers_are_pinned():
+    # sha256 over the invariants, basis tables and prime tables of every
+    # catalog multiplier of order <= 60, as the int64 solve produced them
+    from projrep.catalog import catalog, get_group
+    h = hashlib.sha256()
+    names = [e.name for e in catalog() if e.order <= 60]
+    for name in names:
+        m = schur_multiplier(get_group(name))
+        h.update(f"{name}:{m.invariants}".encode())
+        for c in m.basis:
+            h.update(f"{c.modulus}:".encode() + c.table.tobytes())
+        for p, (q, tabs) in sorted(m._prime_tables.items()):
+            h.update(f"{p}:{q}".encode())
+            for t in tabs:
+                h.update(b"-" if t is None else t.tobytes())
+    assert len(names) == 59
+    assert h.hexdigest() == (
+        "0e6fe13bac45d9d51abf448eac56f9434353ba686a3f727830c225775b6587d3")

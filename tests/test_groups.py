@@ -416,3 +416,41 @@ def test_sorted_unique_is_np_unique_byte_for_byte(a):
     got, want = sorted_unique(a), np.unique(a)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# the smallest loop that is not a group: a Latin square with identity 0 and
+# x x = 0, but (1 1) 2 = 2 while 1 (1 2) = 4
+_LOOP5 = np.array([[0, 1, 2, 3, 4],
+                   [1, 0, 3, 4, 2],
+                   [2, 4, 0, 1, 3],
+                   [3, 2, 4, 0, 1],
+                   [4, 3, 1, 2, 0]])
+
+
+@pytest.mark.parametrize("k", [1, 4, 20, 40])
+def test_associativity_check_rejects_loops(k):
+    # the loop times C_k passes every other check of _validate; only some
+    # triples fail associativity, spread over every chunk size
+    from projrep.groups import FiniteGroup
+    a, i = np.divmod(np.arange(5 * k), k)
+    mul = _LOOP5[a[:, None], a[None, :]] * k + (i[:, None] + i[None, :]) % k
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(mul)
+    cyc = (i[:k, None] + i[None, :k]) % k
+    assert FiniteGroup(cyc).order == k
+
+
+def test_associativity_check_is_chunked_by_entries():
+    # about 32k table entries a chunk: validating an order-100 table traces
+    # under 1 MB (row chunks of 40 traced about 6.5 MB)
+    import tracemalloc
+
+    from projrep.groups import FiniteGroup
+    G = get_group("C5xC5:C4")
+    tracemalloc.start()
+    try:
+        FiniteGroup(G.mul, generators=G.generators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
