@@ -4,17 +4,22 @@ Every entry is constructed from permutation generators through build_group
 and carries expected metadata for self-checks.  Any group, from the catalog
 or not, yields one context per coclass of its directly solved multiplier;
 groups above the multiplier cap expose the trivial coclass only.
+
+The entries are plain data, so listing them imports no numpy; the group and
+context constructors import the compute layers when they are called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .cohomology import DEFAULT_H2_CAP, schur_multiplier, trivial_cocycle
-from .errors import UnknownGroup
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group, is_solvable
-from .verify import CoclassContext
+from .errors import CrossCheckMismatch, UnknownGroup
+from .tolerances import DEFAULT_H2_CAP, DEFAULT_ORDER_CAP
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
+    from .verify import CoclassContext
 
 
 def _cyclic(n):
@@ -143,6 +148,7 @@ class CatalogEntry:
 
 def _perm_entry(name, order, solvable, gens, points=None, notes=""):
     def build():
+        from .groups import build_group
         return build_group(gens, name=name, points=points,
                            cap=DEFAULT_ORDER_CAP)
     return CatalogEntry(name=name, order=order, solvable=solvable,
@@ -219,14 +225,16 @@ def entry(name: str) -> CatalogEntry:
 
 def get_group(name: str) -> FiniteGroup:
     if name not in _GROUPS:
+        from .groups import is_solvable
         e = entry(name)
         G = e.build()
         if G.order != e.order:
-            raise RuntimeError(
+            raise CrossCheckMismatch(
                 f"catalog self-check failed: |{name}| = {G.order}, "
                 f"expected {e.order}")
         if is_solvable(G) != e.solvable:
-            raise RuntimeError(f"catalog self-check failed: {name} solvability")
+            raise CrossCheckMismatch(
+                f"catalog self-check failed: {name} solvability")
         _GROUPS[name] = G
     return _GROUPS[name]
 
@@ -243,6 +251,8 @@ def group_contexts(G: FiniteGroup,
 
     Groups over the multiplier cap yield only the trivial coclass.
     """
+    from .cohomology import schur_multiplier, trivial_cocycle
+    from .verify import CoclassContext
     if G.order > h2_cap:
         return [CoclassContext(G, trivial_cocycle(G), label="trivial")]
     return [CoclassContext(G, c.representative, label=c.label(), coclass=c)

@@ -1,33 +1,30 @@
-"""Command-line front end for the projective representation workbench."""
+"""Command-line front end for the projective representation workbench.
+
+Each command imports the layers it runs when it runs, so ``catalog``,
+``--help``, usage errors and shell completion start without numpy.
+"""
 
 from __future__ import annotations
 
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
 from .catalog import catalog
-from .cohomology import DEFAULT_H2_CAP
 from .errors import BadCoclassIndex, ProjrepError
-from .groups import DEFAULT_ORDER_CAP, PiSet
-from .verify import pi_decompose
-from .workbench import (
-    CHECK_NAMES,
-    RunConfig,
-    contexts_for,
-    degrees_report,
-    multiplier_report,
-    regular_classes_report,
-    resolve_group,
-    run,
-)
+from .tolerances import CHECK_NAMES, DEFAULT_H2_CAP, DEFAULT_ORDER_CAP
+
+if TYPE_CHECKING:
+    from .groups import PiSet
 
 
 def _parse_pi(value: str | None) -> PiSet | None:
     if value is None:
         return None
+    from .groups import PiSet
     try:
         return PiSet(int(v) for v in value.split(","))
     except ValueError as exc:
@@ -49,13 +46,18 @@ def _parse_pi(value: str | None) -> PiSet | None:
 @click.pass_context
 def main(ctx, seed, h2_cap, order_cap, out, jobs):
     """Projective representation workbench for small finite groups."""
-    ctx.obj = RunConfig(seed=seed, h2_cap=h2_cap, order_cap=order_cap,
-                        out=out, jobs=jobs)
+    ctx.obj = dict(seed=seed, h2_cap=h2_cap, order_cap=order_cap, out=out,
+                   jobs=jobs)
+
+
+def _config(options: dict, group: str):
+    """The run configuration of a command on one group."""
+    from .workbench import RunConfig
+    return RunConfig(groups=[group], **options)
 
 
 @main.command("catalog")
-@click.pass_obj
-def catalog_cmd(config):
+def catalog_cmd():
     """List the built-in groups."""
     for e in catalog():
         flags = "solvable" if e.solvable else "not solvable"
@@ -63,9 +65,9 @@ def catalog_cmd(config):
         click.echo(f"{e.name:12s} order {e.order:4d}  {flags}{note}")
 
 
-def _context(config, group, coclass_index):
-    config.groups = [group]
-    ctxs = contexts_for(group, config)
+def _context(options, group, coclass_index):
+    from .workbench import contexts_for
+    ctxs = contexts_for(group, _config(options, group))
     if not 0 <= coclass_index < len(ctxs):
         raise BadCoclassIndex(
             f"{group} has {len(ctxs)} coclasses; index {coclass_index} "
@@ -76,10 +78,11 @@ def _context(config, group, coclass_index):
 @main.command()
 @click.argument("group")
 @click.pass_obj
-def multiplier(config, group):
+def multiplier(options, group):
     """Invariant factors and basis hashes of the multiplier."""
-    G = resolve_group(group, config.order_cap)
-    click.echo(json.dumps(multiplier_report(G, h2_cap=config.h2_cap),
+    from .workbench import multiplier_report, resolve_group
+    G = resolve_group(group, options["order_cap"])
+    click.echo(json.dumps(multiplier_report(G, h2_cap=options["h2_cap"]),
                           sort_keys=True))
 
 
@@ -88,9 +91,10 @@ def multiplier(config, group):
 @click.option("--coclass", "coclass_index", type=int, default=0,
               show_default=True, help="Lexicographic coclass index.")
 @click.pass_obj
-def degrees(config, group, coclass_index):
+def degrees(options, group, coclass_index):
     """Irreducible projective degrees for one coclass."""
-    ctx = _context(config, group, coclass_index)
+    from .workbench import degrees_report
+    ctx = _context(options, group, coclass_index)
     click.echo(json.dumps(degrees_report(ctx), sort_keys=True))
 
 
@@ -99,9 +103,10 @@ def degrees(config, group, coclass_index):
 @click.option("--coclass", "coclass_index", type=int, default=0,
               show_default=True)
 @click.pass_obj
-def regular_classes_cmd(config, group, coclass_index):
+def regular_classes_cmd(options, group, coclass_index):
     """c-regular conjugacy classes for one coclass."""
-    ctx = _context(config, group, coclass_index)
+    from .workbench import regular_classes_report
+    ctx = _context(options, group, coclass_index)
     click.echo(json.dumps(regular_classes_report(ctx), sort_keys=True))
 
 
@@ -114,9 +119,10 @@ def regular_classes_cmd(config, group, coclass_index):
 @click.option("--pi", "pi", type=str, default=None,
               help="Comma-separated primes for set-indexed checks.")
 @click.pass_obj
-def verify(config, group, check, prime, pi):
+def verify(options, group, check, prime, pi):
     """Run theorem checks; nonzero exit iff any applicable check fails."""
-    config.groups = [group]
+    from .workbench import run
+    config = _config(options, group)
     if check:
         config.checks = [check]
     if prime is not None:
@@ -143,9 +149,10 @@ def verify(config, group, check, prime, pi):
 @click.option("--pi", "pi", type=str, required=True,
               help="Comma-separated primes defining the split.")
 @click.pass_obj
-def decompose(config, group, coclass_index, pi):
+def decompose(options, group, coclass_index, pi):
     """Decomposition certificates along the pi-series, one per irreducible."""
-    ctx = _context(config, group, coclass_index)
+    from .verify import pi_decompose
+    ctx = _context(options, group, coclass_index)
     pset = _parse_pi(pi)
     records = []
     for V in ctx.irreps:

@@ -57,9 +57,7 @@ from .groups import (
     factorize,
     quotient_group,
 )
-from .tolerances import TOL_UNIT
-
-DEFAULT_H2_CAP = 60
+from .tolerances import DEFAULT_H2_CAP, TOL_UNIT
 
 
 def _lcm(a: int, b: int) -> int:

@@ -29,8 +29,7 @@ from .errors import (
     NotPermutation,
     NotPiSeparable,
 )
-
-DEFAULT_ORDER_CAP = 200
+from .tolerances import DEFAULT_ORDER_CAP
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -1,9 +1,14 @@
-"""Every numerical threshold of the package, in one table.
+"""Every numerical threshold of the package, in one table, and the defaults
+the command line shows.
 
 Degree integrality needs none: a block rank is an integer, tested as an
 exact square.  Class triviality and order need none either: they are exact
 integer decisions, and ``TOL_UNIT`` only bounds how far a complex table lies
 from the exact cocycle it is rounded to.  Reports carry ``TOLERANCES``.
+
+The order caps and check names are not thresholds and stay out of the
+table.  They live here, with no numpy import, so that ``--help`` and the
+option defaults load no compute layer.
 """
 
 TOL_GAP = 1e-8       # relative to the spectrum: eigen-clusters and ranks
@@ -21,3 +26,8 @@ TOLERANCES = {
     "unitary": TOL_UNITARY,
     "check": TOL_CHECK,
 }
+
+DEFAULT_ORDER_CAP = 200  # largest admissible group order
+DEFAULT_H2_CAP = 60      # largest order whose multiplier is solved directly
+CHECK_NAMES = ("basic", "ito-michler", "sylow-criterion", "pi-theorem",
+               "clifford-laws", "a5-control", "decompose")

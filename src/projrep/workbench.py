@@ -6,6 +6,9 @@ processes, one group at a time.  Every randomized step is seeded from
 (config seed, group, coclass) alone and every cache is per group or per
 Cayley table, so identical configurations produce byte-identical reports at
 any number of workers.
+
+This module imports every compute layer at module level; the command line
+imports it only inside the commands that compute.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import catalog, get_group, group_contexts
-from .cohomology import DEFAULT_H2_CAP, schur_multiplier
-from .errors import ConfigError, ParseError, UnknownGroup
+from .cohomology import Cocycle, schur_multiplier
+from .errors import ClosureTooLarge, ConfigError, ParseError, UnknownGroup
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
     PiSet,
     build_group,
@@ -32,7 +34,12 @@ from .groups import (
     o_pi,
     prime_divisors,
 )
-from .tolerances import TOLERANCES
+from .tolerances import (
+    CHECK_NAMES,
+    DEFAULT_H2_CAP,
+    DEFAULT_ORDER_CAP,
+    TOLERANCES,
+)
 from .twisted import wedderburn
 from .verify import (
     CheckResult,
@@ -46,9 +53,6 @@ from .verify import (
     verify_normal_sylow_criterion,
     verify_pi_theorem,
 )
-
-CHECK_NAMES = ("basic", "ito-michler", "sylow-criterion", "pi-theorem",
-               "clifford-laws", "a5-control", "decompose")
 
 
 @dataclass
@@ -288,7 +292,6 @@ def parse_group_json(doc: dict, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         return build_group(gens, name=name, points=points, cap=cap)
     # canonical export path: the table is authoritative, the generators are
     # its right-regular permutations and must agree with it
-    from .errors import ClosureTooLarge
     if points > cap:
         raise ClosureTooLarge(f"group of order {points} exceeds cap {cap}")
     try:
@@ -341,7 +344,6 @@ def export_cocycle(c) -> dict:
 
 
 def parse_cocycle_json(doc: dict, G: FiniteGroup):
-    from .cohomology import Cocycle
     try:
         m = int(doc["modulus"])
         flat = np.asarray(doc["table"], dtype=np.int64)

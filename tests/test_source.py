@@ -133,3 +133,70 @@ def test_exact_class_decisions_stand_apart_from_the_algebra():
     found = [f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
              for name in deleted if name in path.read_text()]
     assert found == []
+
+
+COMPUTE_LAYERS = ("cohomology", "groups", "reps", "twisted", "verify")
+
+
+def _import_time_modules(path):
+    """Modules that importing path imports, read from its import statements
+    outside functions and outside ``if TYPE_CHECKING:``; a package module
+    is named projrep.<name>."""
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            return
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            yield from (m for child in node.orelse for m in visit(child))
+            return
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.module
+            elif node.module:
+                yield f"projrep.{node.module}"
+            else:
+                yield from (f"projrep.{a.name}" for a in node.names)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child)
+
+    return set(visit(ast.parse(path.read_text(), filename=str(path))))
+
+
+def _import_closure(name):
+    """Every module importing projrep.<name> imports, following the
+    package's own modules through their import-time imports."""
+    seen, todo = set(), [f"projrep.{name}"]
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        path = PACKAGE / f"{module.split('.', 1)[1]}.py" \
+            if module.startswith("projrep.") else None
+        if path is not None and path.exists():
+            todo += _import_time_modules(path)
+    return seen
+
+
+def test_front_modules_import_no_compute_layer():
+    # the package, the command line and the catalog listing start without
+    # numpy (about 0.15 s of a cold start); commands import their layers
+    # when they run
+    heavy = {f"projrep.{m}" for m in COMPUTE_LAYERS + ("workbench",)}
+    found = {}
+    for name in ("__init__", "cli", "catalog"):
+        loaded = {m for m in _import_closure(name)
+                  if m in heavy or m.split(".")[0] == "numpy"}
+        if loaded:
+            found[name] = sorted(loaded)
+    assert found == {}
+
+
+def test_workbench_imports_every_layer():
+    # a sweep or a computing command loads every layer through workbench,
+    # and the benchmark's tracer patches them after importing it
+    layers = {f"projrep.{m}" for m in COMPUTE_LAYERS + ("catalog",)}
+    assert layers <= _import_closure("workbench")

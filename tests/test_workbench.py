@@ -1,5 +1,6 @@
 """Tests for the catalog, run configuration, reports, and the CLI."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -9,9 +10,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import projrep
+from projrep import catalog as catalog_module
 from projrep.catalog import catalog, coclass_contexts, entry, get_group
 from projrep.cli import main
-from projrep.errors import ConfigError, ParseError, UnknownGroup
+from projrep.errors import (
+    ConfigError,
+    CrossCheckMismatch,
+    ParseError,
+    UnknownGroup,
+)
 from projrep.groups import is_solvable, is_p_solvable
 from projrep import tolerances, workbench
 from projrep.tolerances import TOLERANCES
@@ -40,6 +48,22 @@ def test_catalog_self_checks():
         G = get_group(name)
         assert G.order == e.order
         assert is_solvable(G) == e.solvable
+
+
+def test_catalog_self_check_failure_is_a_typed_error(monkeypatch, capsys):
+    from projrep.cli import entry as cli_entry
+    wrong = [catalog_module._perm_entry("C5?", 6, True, [[2, 3, 4, 5, 1]]),
+             catalog_module._perm_entry("A5?", 60, True,
+                                        catalog_module.A5_PERM)]
+    monkeypatch.setattr(catalog_module, "_CATALOG", catalog() + wrong)
+    with pytest.raises(CrossCheckMismatch, match="solvability"):
+        get_group("A5?")
+    monkeypatch.setattr(sys, "argv", ["projrep", "multiplier", "C5?"])
+    with pytest.raises(SystemExit) as info:
+        cli_entry()
+    assert info.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: catalog self-check failed: |C5?| = 5, expected 6\n")
 
 
 def test_catalog_flags():
@@ -261,21 +285,85 @@ def test_import_pins_openblas_to_one_thread_by_default():
         assert out.strip() == expected
 
 
-def test_single_shots_leave_numpy_ma_unloaded(tmp_path):
-    # np.unique imports numpy.ma (about 14 ms a process); the package sorts
-    # and compares instead, so no single shot pays for it
+def _loaded_after(tmp_path, modules, code, args=()):
+    """The names in modules that a fresh interpreter running code holds in
+    sys.modules when it exits, with this checkout's package on its path."""
     src = str(os.path.dirname(os.path.dirname(workbench.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    probe = ("import atexit, sys; from projrep.cli import entry; "
-             "atexit.register(lambda: print('numpy.ma' in sys.modules, "
-             "file=sys.stderr)); entry()")
+    probe = ("import atexit, json, sys; atexit.register(lambda: print("
+             f"json.dumps([m for m in {list(modules)!r} if m in sys.modules]),"
+             f" file=sys.stderr)); {code}")
+    done = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(done.stderr.strip().splitlines()[-1])
+
+
+def test_single_shots_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma (about 14 ms a process); the package sorts
+    # and compares instead, so no single shot pays for it
     for command in (["multiplier", "S4"], ["verify", "S4"]):
-        done = subprocess.run([sys.executable, "-c", probe, *command],
-                              env=env, cwd=tmp_path, capture_output=True,
-                              text=True, timeout=120, check=True)
-        assert done.stderr.strip().splitlines()[-1] == "False", command
+        loaded = _loaded_after(tmp_path, ["numpy", "numpy.ma"],
+                               "from projrep.cli import entry; entry()",
+                               command)
+        assert loaded == ["numpy"], command
+
+
+def test_commands_that_compute_nothing_load_no_layer(tmp_path):
+    # numpy and the compute layers are most of a cold start (0.26 s against
+    # 0.11 s for `projrep catalog`); only commands that compute load them
+    heavy = ["numpy"] + [f"projrep.{m}" for m in (
+        "cohomology", "groups", "reps", "twisted", "verify", "workbench")]
+    cli = "from projrep.cli import entry; entry()"
+    for code, args in ((cli, ["catalog"]), (cli, ["--help"]),
+                       (cli, ["verify", "--help"]), ("import projrep", [])):
+        assert _loaded_after(tmp_path, heavy, code, args) == [], args
+    # a command that computes still loads every layer
+    assert _loaded_after(tmp_path, heavy, cli, ["multiplier", "C2"]) == heavy
+
+
+EXPORTS = {
+    "cohomology": [
+        "Cochain1", "Coclass", "Cocycle", "SchurMultiplier",
+        "cocycle_from_extension", "inflate_coclass", "is_cocycle",
+        "is_trivial_coclass", "pi_part", "restrict_coclass",
+        "schur_multiplier", "trivial_cocycle"],
+    "groups": [
+        "ConjClass", "FiniteGroup", "NormalSeries", "PiSet", "Quotient",
+        "Subgroup", "build_group", "centralizer", "conjugacy_classes",
+        "hall_higman_check", "hall_subgroup", "is_p_solvable",
+        "is_pi_separable", "is_solvable", "o_pi", "pi_series",
+        "quotient_group", "sylow_subgroup"],
+    "reps": [
+        "CliffordExtension", "Constituent", "ProjRep", "character",
+        "clifford_extend", "conjugate_rep", "decompose",
+        "factor_over_extension", "induce_rep", "inertia_group",
+        "intertwiner_space", "is_irreducible", "restrict_rep",
+        "split_regular", "tensor_reps"],
+    "twisted": [
+        "RegularClassData", "TwistedAlgebra", "WedderburnData",
+        "alpha_tilde", "c_regular_classes", "center_basis", "wedderburn"],
+    "verify": [
+        "CheckResult", "CoclassContext", "DecompositionCertificate",
+        "decompose_along_series", "pi_decompose",
+        "verify_a5_negative_control", "verify_basic",
+        "verify_clifford_laws", "verify_ito_michler",
+        "verify_normal_sylow_criterion", "verify_pi_theorem"],
+}
+
+
+def test_public_names_resolve_to_their_layer():
+    assert projrep.__all__ == [n for names in EXPORTS.values() for n in names]
+    for layer, names in EXPORTS.items():
+        module = importlib.import_module(f"projrep.{layer}")
+        namespace = {}
+        exec(f"from projrep import {', '.join(names)}", namespace)
+        for name in names:
+            assert namespace[name] is getattr(module, name), name
+    with pytest.raises(ImportError):
+        exec("from projrep import no_such_name", {})
 
 
 def test_cli_degrees():
