@@ -143,11 +143,10 @@ def _import_time_modules(path):
     outside functions and outside ``if TYPE_CHECKING:``; a package module
     is named projrep.<name>."""
     def visit(node):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return
-        if isinstance(node, ast.If) and ast.unparse(node.test) in (
-                "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == \
+                "TYPE_CHECKING":
             yield from (m for child in node.orelse for m in visit(child))
             return
         if isinstance(node, ast.Import):
@@ -171,13 +170,11 @@ def _import_closure(name):
     seen, todo = set(), [f"projrep.{name}"]
     while todo:
         module = todo.pop()
-        if module in seen:
-            continue
-        seen.add(module)
-        path = PACKAGE / f"{module.split('.', 1)[1]}.py" \
-            if module.startswith("projrep.") else None
-        if path is not None and path.exists():
-            todo += _import_time_modules(path)
+        if module not in seen:
+            seen.add(module)
+            path = PACKAGE / f"{module.removeprefix('projrep.')}.py"
+            if module.startswith("projrep.") and path.exists():
+                todo += _import_time_modules(path)
     return seen
 
 
