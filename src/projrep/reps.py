@@ -100,14 +100,18 @@ def _nullspace(M: np.ndarray) -> list[np.ndarray]:
     return [vh[i].conj() for i in range(rank, M.shape[1])]
 
 
-def intertwiner_space(r1: ProjRep, r2: ProjRep) -> tuple[int, list[np.ndarray]]:
-    """Solutions of X r1(g) = r2(g) X; orthonormal under Frobenius."""
+def _check_same_cocycle(r1: ProjRep, r2: ProjRep) -> None:
     if r1.group is not r2.group and (
             r1.group.order != r2.group.order
             or not np.array_equal(r1.group.mul, r2.group.mul)):
         raise CocycleMismatch("representations live on different groups")
     if np.max(np.abs(r1.table - r2.table)) > TOL_CHECK:
         raise CocycleMismatch("cocycles differ beyond tolerance")
+
+
+def intertwiner_space(r1: ProjRep, r2: ProjRep) -> tuple[int, list[np.ndarray]]:
+    """Solutions of X r1(g) = r2(g) X; orthonormal under Frobenius."""
+    _check_same_cocycle(r1, r2)
     d1, d2 = r1.degree, r2.degree
     gens = r1.group.gen_set()
     if not gens:
@@ -125,10 +129,38 @@ def intertwiner_space(r1: ProjRep, r2: ProjRep) -> tuple[int, list[np.ndarray]]:
     return len(null), [v.reshape(d2, d1) for v in null]
 
 
+def _traces(r: ProjRep) -> np.ndarray:
+    return np.trace(r.matrices, axis1=1, axis2=2)
+
+
+def _hom_counts(chi1: np.ndarray, chi2: np.ndarray) -> np.ndarray:
+    """Rounded <chi1, chi2> along the last axis, as integers.
+
+    Raises NumericDegeneracy if a value lies more than TOL_CHECK from an
+    integer: the characters are not those of unitary representations over
+    one cocycle.
+    """
+    value = np.sum(np.conj(chi1) * chi2, axis=-1) / chi1.shape[-1]
+    count = np.rint(value.real)
+    if np.max(np.abs(value - count), initial=0.0) > TOL_CHECK:
+        raise NumericDegeneracy("character inner product is not an integer")
+    return count.astype(np.int64)
+
+
+def hom_dim(r1: ProjRep, r2: ProjRep) -> int:
+    """dim Hom(r1, r2), read off the characters.
+
+    For unitary representations over one cocycle, averaging
+    r2(g) X r1(g)^-1 over the group projects onto the intertwiners, and its
+    trace gives dim Hom(r1, r2) = sum_g conj(chi1(g)) chi2(g) / |G|.
+    """
+    _check_same_cocycle(r1, r2)
+    return int(_hom_counts(_traces(r1), _traces(r2)))
+
+
 def is_irreducible(r: ProjRep) -> bool:
     """Commutant dimension one."""
-    dim, _ = intertwiner_space(r, r)
-    return dim == 1
+    return hom_dim(r, r) == 1
 
 
 def restrict_rep(r: ProjRep, H: Subgroup) -> ProjRep:
@@ -251,10 +283,10 @@ def decompose(r: ProjRep, seed: int = 0) -> list[Constituent]:
     Constituents are pairwise non-isomorphic and sorted by (degree,
     character); multiplicities satisfy sum(mult * deg) = deg(r).
     """
-    dim, basis = intertwiner_space(r, r)
-    if dim == 1:
+    if hom_dim(r, r) == 1:
         return [Constituent(rep=r, multiplicity=1,
                             projector=np.eye(r.degree, dtype=np.complex128))]
+    _, basis = intertwiner_space(r, r)
     d = r.degree
     last = None
     for attempt in range(SPLIT_RETRIES):
@@ -283,7 +315,7 @@ def decompose(r: ProjRep, seed: int = 0) -> list[Constituent]:
         for i, (sub, _) in enumerate(subreps):
             placed = False
             for grp in groups:
-                if intertwiner_space(subreps[grp[0]][0], sub)[0] == 1:
+                if hom_dim(subreps[grp[0]][0], sub) == 1:
                     grp.append(i)
                     placed = True
                     break
@@ -330,8 +362,7 @@ def conjugate_rep(r: ProjRep, N: Subgroup, g: int, A: TwistedAlgebra) -> ProjRep
 
 
 def is_inertial(r: ProjRep, N: Subgroup, g: int, A: TwistedAlgebra) -> bool:
-    dim, _ = intertwiner_space(r, conjugate_rep(r, N, g, A))
-    return dim == 1
+    return hom_dim(r, conjugate_rep(r, N, g, A)) == 1
 
 
 def transport_rep(r: ProjRep, H: Subgroup, g: int,
@@ -354,16 +385,24 @@ def transport_rep(r: ProjRep, H: Subgroup, g: int,
 def inertia_group(r: ProjRep, N: Subgroup, A: TwistedAlgebra) -> Subgroup:
     """All g whose twisted conjugate of r is isomorphic to r.
 
-    Membership is constant on cosets of N, so one test per coset suffices.
+    Membership is constant on cosets of N, so one test per coset suffices:
+    the conjugate by t has character x -> twist(x, t) chi(x^t), and t is
+    inertial iff its inner product with chi is one.
     """
     G = A.group
+    if N.parent is not G:
+        raise ValueError("subgroup of a different group")
     quot = quotient_group(G, N)
-    members = []
-    for t in quot.section:
-        if is_inertial(r, N, int(t), A):
-            members.extend(G.mul[int(t), N.elements].tolist())
-    J = Subgroup(G, members)  # closure is checked by the constructor
-    return J
+    t = quot.section[:, None]
+    el = N.elements
+    xt = G.mul[G.mul[G.inv[t], el], t]
+    if not N.mask()[xt].all():
+        raise NotNormal("conjugation leaves the subgroup")
+    chi = _traces(r)
+    tw = A.table[el, t] * np.conj(A.table[t, xt])
+    inertial = _hom_counts(chi, tw * chi[N.positions()[xt]]) == 1
+    # closure is checked by the constructor
+    return Subgroup(G, G.mul[quot.section[inertial][:, None], el].ravel())
 
 
 @dataclass(frozen=True)
@@ -511,8 +550,7 @@ def factor_over_extension(X: ProjRep, ext: CliffordExtension) -> ProjRep:
     W = ProjRep(quot.group, b_table, Wm)
     # certify the factorization: X is isomorphic to Y tensor (inflated W)
     W_J = inflate_rep_on(Jg, W, quot)
-    dim, _ = intertwiner_space(tensor_reps(Y, W_J), X)
-    if dim != 1:
+    if hom_dim(tensor_reps(Y, W_J), X) != 1:
         raise FactorizationFailure("tensor reconstruction is not isomorphic")
     return W
 

@@ -48,7 +48,7 @@ from .reps import (
     induce_rep,
     inertia_group,
     inflate_rep_on,
-    intertwiner_space,
+    hom_dim,
     is_inertial,
     is_irreducible,
     restrict_rep,
@@ -231,7 +231,7 @@ def verify_clifford_laws(ctx: CoclassContext, N: Subgroup,
     w_degrees = wedderburn(b_alg, seed=ctx.seed).degrees
     index = G.order // J.order
     over_V = [X for X in ctx.irreps
-              if intertwiner_space(V, restrict_rep(X, N))[0] > 0]
+              if hom_dim(V, restrict_rep(X, N)) > 0]
     checks = {}
     # dimension bookkeeping: dim X = dim V * dim W * |G:J| as multisets
     lhs_dims = sorted(X.degree for X in over_V)
@@ -493,14 +493,13 @@ def decompose_along_series(V: ProjRep, terms: list[Subgroup],
         # the Clifford correspondent: the constituent of res W over Vi
         resJ = restrict_rep(W, J_next)
         cands = [c.rep for c in decompose(resJ, seed=ctx.seed)
-                 if intertwiner_space(Vi, restrict_rep(c.rep, ext.n_in_j))[0]]
+                 if hom_dim(Vi, restrict_rep(c.rep, ext.n_in_j))]
         if len(cands) != 1:
             raise ReconstructionFailure(
                 f"{len(cands)} Clifford correspondents at step {i}")
         X = cands[0]
         back = induce_rep(X, J_next, A_cur)
-        dim, _ = intertwiner_space(back, W)
-        if dim != 1:
+        if hom_dim(back, W) != 1:
             raise ReconstructionFailure(f"correspondent fails to induce back "
                                         f"at step {i}")
         Wq = factor_over_extension(X, ext)
@@ -532,7 +531,7 @@ def decompose_along_series(V: ProjRep, terms: list[Subgroup],
                                     "from the restricted cocycle")
     rebased = ProjRep(Jf, exact, big.matrices, check=False)
     recon = induce_rep(rebased, J_final, ctx.algebra)
-    dim, _ = intertwiner_space(recon, V)
+    dim = hom_dim(recon, V)
     if dim != 1:
         raise ReconstructionFailure("induced tensor is not isomorphic to V")
     residual = max(drift, recon.defect(), rebased.defect())

@@ -159,6 +159,17 @@ def _induce_rep_reference(r, H, A):
     return mats
 
 
+def _inertia_group_reference(r, N, A):
+    """inertia_group as one conjugate and one Sylvester solve per coset."""
+    G = A.group
+    members = []
+    for t in quotient_group(G, N).section:
+        conj = conjugate_rep(r, N, int(t), A)
+        if reps.intertwiner_space(r, conj)[0] == 1:
+            members.extend(G.mul[int(t), N.elements].tolist())
+    return Subgroup(G, members)
+
+
 def _extension_reference(r, N, J, A):
     """clifford_extend's Y(n t) = conj(a(n, t)) phi(n) T_t, one j at a time."""
     Jg = J.as_group()
@@ -281,7 +292,10 @@ def test_conjugation_and_clifford_extension_match_loops():
                 if not _same(conjugate_rep(V, N, g, A).matrices,
                              _conjugate_rep_reference(V, N, g, A)):
                     bad.append((name, ctx.label, N.order, "conjugate", g))
-            ext = clifford_extend(V, N, inertia_group(V, N, A), A)
+            J = inertia_group(V, N, A)
+            if J != _inertia_group_reference(V, N, A):
+                bad.append((name, ctx.label, N.order, "inertia"))
+            ext = clifford_extend(V, N, J, A)
             mats = ext.extension.matrices
             beta, _ = _beta_reference(mats, ext.inertia.as_group().mul)
             if not (_same(mats, _extension_reference(V, N, ext.inertia, A))

@@ -15,8 +15,16 @@ from projrep.cohomology import (
     schur_multiplier,
     trivial_cocycle,
 )
-from projrep.errors import CocycleMismatch
-from projrep.groups import PiSet, Subgroup, build_group, closure, o_pi
+from projrep.catalog import catalog, coclass_contexts
+from projrep.errors import CocycleMismatch, NumericDegeneracy
+from projrep.groups import (
+    PiSet,
+    Subgroup,
+    build_group,
+    closure,
+    conjugacy_classes,
+    o_pi,
+)
 from projrep.reps import (
     ProjRep,
     character,
@@ -24,6 +32,7 @@ from projrep.reps import (
     conjugate_rep,
     decompose,
     factor_over_extension,
+    hom_dim,
     induce_rep,
     inertia_group,
     intertwiner_space,
@@ -138,6 +147,74 @@ def test_intertwiner_schur(s3_reps):
     for r in s3_reps:
         assert intertwiner_space(r, r)[0] == 1
     assert intertwiner_space(s3_reps[0], s3_reps[1])[0] == 0
+
+
+def _direct_sum(r1, r2):
+    d1, d2 = r1.degree, r2.degree
+    mats = np.zeros((r1.group.order, d1 + d2, d1 + d2), dtype=np.complex128)
+    mats[:, :d1, :d1] = r1.matrices
+    mats[:, d1:, d1:] = r2.matrices
+    return ProjRep(r1.group, r1.table, mats)
+
+
+def _normal_closures(G):
+    """The normal closure of each conjugacy class, without repeats."""
+    out = {}
+    for cls in conjugacy_classes(G):
+        N = Subgroup(G, closure(G, [int(x) for x in cls.members]))
+        out.setdefault(N.elements.tobytes(), N)
+    return list(out.values())
+
+
+def test_hom_dim_equals_intertwiner_count():
+    # the character inner product counts what the Sylvester solve counts:
+    # pairs of irreducibles, a direct sum of two copies, and restrictions
+    # to normal subgroups against the subgroup's irreducibles
+    bad = []
+    for e in catalog():
+        if e.order > 24:
+            continue
+        for ctx in coclass_contexts(e.name):
+            irreps = ctx.irreps
+            for a in irreps:
+                for b in irreps:
+                    if hom_dim(a, b) != intertwiner_space(a, b)[0]:
+                        bad.append((e.name, ctx.label, a.degree, b.degree))
+            V = irreps[-1]
+            double = _direct_sum(V, V)
+            for a, b in ((double, double), (V, double), (double, V)):
+                if hom_dim(a, b) != intertwiner_space(a, b)[0]:
+                    bad.append((e.name, ctx.label, "sum", a.degree, b.degree))
+            for N in _normal_closures(ctx.group):
+                sub = ctx.restricted(N).irreps
+                for X in irreps:
+                    res = restrict_rep(X, N)
+                    for W in sub:
+                        if hom_dim(W, res) != intertwiner_space(W, res)[0]:
+                            bad.append((e.name, ctx.label, N.order,
+                                        W.degree, X.degree))
+    assert bad == []
+
+
+def test_hom_dim_rejects_a_non_unitary_matrix(s3_reps):
+    r = s3_reps[-1]
+    chi = np.abs(np.trace(r.matrices, axis1=1, axis2=2))
+    g = int(np.argmax(chi[1:])) + 1
+    mats = r.matrices.copy()
+    mats[g] *= 1.1
+    scaled = ProjRep(r.group, r.table, mats, check=False)
+    with pytest.raises(NumericDegeneracy):
+        hom_dim(scaled, scaled)
+
+
+def test_hom_dim_cocycle_mismatch(s3_reps, v4_twisted_rep):
+    _, vreps = v4_twisted_rep
+    with pytest.raises(CocycleMismatch):
+        hom_dim(s3_reps[0], vreps[0])
+    r = s3_reps[0]
+    other = ProjRep(r.group, -r.table, r.matrices, check=False)
+    with pytest.raises(CocycleMismatch):
+        hom_dim(r, other)
 
 
 def test_intertwiner_cocycle_mismatch(s3_reps, v4_twisted_rep):

@@ -135,6 +135,33 @@ def test_exact_class_decisions_stand_apart_from_the_algebra():
     assert found == []
 
 
+def test_hom_counts_come_from_characters():
+    # a caller that reads only dim Hom takes it from hom_dim's character
+    # inner product; intertwiner_space's SVD serves the callers that use
+    # the basis
+    def solves(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "intertwiner_space"
+            or getattr(node.func, "attr", None) == "intertwiner_space")
+
+    def count_only(node):
+        if isinstance(node, ast.Subscript):
+            return (solves(node.value) and isinstance(node.slice, ast.Constant)
+                    and node.slice.value == 0)
+        if isinstance(node, ast.Assign) and solves(node.value):
+            return any(isinstance(t, ast.Tuple) and len(t.elts) == 2
+                       and isinstance(t.elts[1], ast.Name)
+                       and t.elts[1].id == "_" for t in node.targets)
+        return False
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if count_only(node)]
+    assert found == []
+
+
 COMPUTE_LAYERS = ("cohomology", "groups", "reps", "twisted", "verify")
 
 
