@@ -1,8 +1,9 @@
 """Explicit projective representations and the Clifford toolkit.
 
 Representations are unitary matrices per group element over a unit-modulus
-cocycle table.  Isomorphism always means intertwiner dimension one;
-similarity classes are never compared by matrix equality.  All values are
+cocycle table.  Isomorphism always means Hom dimension one, read off the
+characters by ``hom_dim``; similarity classes are never compared by matrix
+equality.  All values are
 immutable and safe to share; randomized splits are pure in (input, seed).
 """
 
@@ -142,7 +143,7 @@ def _hom_counts(chi1: np.ndarray, chi2: np.ndarray) -> np.ndarray:
     """
     value = np.sum(np.conj(chi1) * chi2, axis=-1) / chi1.shape[-1]
     count = np.rint(value.real)
-    if np.max(np.abs(value - count), initial=0.0) > TOL_CHECK:
+    if np.max(np.abs(value - count)) > TOL_CHECK:
         raise NumericDegeneracy("character inner product is not an integer")
     return count.astype(np.int64)
 
@@ -213,14 +214,10 @@ def split_regular(A: TwistedAlgebra, seed: int = 0) -> list[ProjRep]:
     """
     w = wedderburn(A, seed=seed)
     out = []
-    for e_vec in w.idempotents:
-        E = A.action_matrix(e_vec)
-        evals, evecs = np.linalg.eigh((E + E.conj().T) / 2)
-        V = evecs[:, evals > 0.5]
-        expected = math.isqrt(V.shape[1])
-        if expected * expected != V.shape[1]:
-            raise NumericDegeneracy("idempotent image has unexpected rank")
-        out.append(_split_block(A, V, expected, seed))
+    for e_vec, V in zip(w.idempotents, w.images):
+        if np.max(np.abs(A.action_matrix(e_vec) @ V - V)) > TOL_DEFECT:
+            raise NumericDegeneracy("block image is not fixed by its idempotent")
+        out.append(_split_block(A, V, math.isqrt(V.shape[1]), seed))
     out.sort(key=lambda r: (r.degree, _character_key(r)))
     return out
 

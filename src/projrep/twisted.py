@@ -207,7 +207,12 @@ def _center_dimension(A: TwistedAlgebra) -> int:
 
 @dataclass(frozen=True)
 class WedderburnData:
+    """``images[i]`` is an orthonormal basis of the block that
+    ``idempotents[i]`` cuts out of the regular module; ``degrees`` are
+    sorted."""
+
     idempotents: list[np.ndarray]
+    images: list[np.ndarray]
     degrees: list[int]
     residual: float
     seed: int
@@ -247,6 +252,7 @@ def wedderburn(A: TwistedAlgebra, seed: int = 0) -> WedderburnData:
                 f"{len(clusters)} eigenvalue clusters for center of dim {dim}")
             continue
         idempotents = []
+        images = []
         degrees = []
         for idx in clusters:
             rank = len(idx)
@@ -255,7 +261,11 @@ def wedderburn(A: TwistedAlgebra, seed: int = 0) -> WedderburnData:
                 raise DegreeNotIntegral(
                     f"block rank {rank} is not a perfect square")
             degrees.append(d)
-            P = evecs[:, idx] @ evecs[:, idx].conj().T
+            # the spectral projector of Z onto a cluster is left
+            # multiplication by that block's central idempotent
+            V = evecs[:, idx[0]:idx[-1] + 1]
+            images.append(V)
+            P = V @ V.conj().T
             idempotents.append(P[:, 0].copy())  # e = P applied to 1 sigma
         if sum(d * d for d in degrees) != n:
             raise DegreeNotIntegral("block degrees violate the degree formula")
@@ -264,7 +274,7 @@ def wedderburn(A: TwistedAlgebra, seed: int = 0) -> WedderburnData:
             last_error = NumericDegeneracy(
                 f"idempotent defect {residual:.2e}")
             continue
-        data = WedderburnData(idempotents=idempotents,
+        data = WedderburnData(idempotents=idempotents, images=images,
                               degrees=sorted(degrees),
                               residual=float(residual), seed=seed)
         A._cache[key] = data

@@ -484,6 +484,17 @@ def decompose_along_series(V: ProjRep, terms: list[Subgroup],
             stored.append((W, emb))
             break
         M = Subgroup(Jg, np.nonzero(T.mask()[emb])[0])
+        # Clifford's theorem is fixed at both ends: over the trivial group
+        # the inertia group is J and the factor trivial; over all of J the
+        # extension is W itself and the quotient factor trivial
+        if M.order == 1:
+            stored.append((_trivial_rep(Jg), emb))
+            continue
+        if M.order == Jg.order:
+            stored.append((W, emb))
+            W = _trivial_rep(Jg)
+            btab = W.table
+            continue
         A_cur = TwistedAlgebra(Jg, btab, check=False)
         resW = restrict_rep(W, M)
         cons = decompose(resW, seed=ctx.seed)
@@ -605,11 +616,15 @@ def pi_decompose(V: ProjRep, pi: PiSet, ctx: CoclassContext
     return cert, report
 
 
+def _trivial_rep(G: FiniteGroup) -> ProjRep:
+    """The trivial character over the trivial cocycle."""
+    return ProjRep(G, np.ones((G.order, G.order), dtype=np.complex128),
+                   np.ones((G.order, 1, 1), dtype=np.complex128), check=False)
+
+
 def _tensor_chain(Jf: FiniteGroup, factors: list[ProjRep]) -> ProjRep:
     if not factors:
-        mats = np.ones((Jf.order, 1, 1), dtype=np.complex128)
-        table = np.ones((Jf.order, Jf.order), dtype=np.complex128)
-        return ProjRep(Jf, table, mats, check=False)
+        return _trivial_rep(Jf)
     out = factors[0]
     for Y in factors[1:]:
         out = tensor_reps(out, Y)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from projrep import verify
 from projrep.catalog import coclass_contexts
 from projrep.cohomology import schur_multiplier, trivial_cocycle
 from projrep.groups import PiSet, o_pi, pi_series
@@ -220,6 +221,29 @@ def test_pi_decompose_twisted_s4():
             cert, rep = pi_decompose(V, PiSet([p]), ctx)
             assert rep.verdict == "pass", rep.witnesses
             assert cert.intertwiner_dim == 1
+
+
+def test_fixed_clifford_steps_extend_nothing(monkeypatch):
+    # a series step over the trivial group or over all of J decides itself;
+    # only the other steps extend a constituent to its inertia group
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return extend(*args, **kwargs)
+
+    extend = verify.clifford_extend
+    monkeypatch.setattr(verify, "clifford_extend", counting)
+    counts = {}
+    for name in ("E27+", "S4"):
+        calls.clear()
+        for ctx in coclass_contexts(name):
+            for V in ctx.irreps:
+                cert, rep = pi_decompose(V, PiSet([3]), ctx)
+                assert rep.verdict == "pass", rep.witnesses
+                assert len(cert.factors) == len(rep.witnesses["tags"])
+        counts[name] = len(calls)
+    assert counts == {"E27+": 0, "S4": 16}
 
 
 def test_context_order_numeric_matches_symbolic():
