@@ -305,11 +305,18 @@ def build_group(generators, name: str = "G", points: int | None = None,
         i += 1
     n = len(elems)
     arr = np.array(elems, dtype=np.int64)
-    mul = np.empty((n, n), dtype=np.int64)
-    for j in range(n):
-        composed = arr[j][arr]          # row i = elems[i] followed by elems[j]
-        for i in range(n):
-            mul[i, j] = index[tuple(composed[i])]
+    # composed[i, j] = elems[i] followed by elems[j]; each row is found by
+    # its bytes, one np.void key per permutation
+    composed = arr[np.arange(n)[None, :, None], arr[:, None, :]]
+    key = np.dtype((np.void, points * arr.itemsize))
+    keys = arr.view(key).ravel()
+    order = np.argsort(keys)
+    wanted = composed.reshape(n * n, points).view(key).ravel()
+    pos = np.minimum(np.searchsorted(keys[order], wanted), n - 1)
+    mul = order[pos]
+    if not (keys[mul] == wanted).all():
+        raise CrossCheckMismatch("a product escaped the closure")
+    mul = mul.reshape(n, n)
     gen_idx = []
     for g in perms:
         gi = index.get(g)

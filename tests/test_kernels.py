@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from projrep import reps
+from projrep import groups, reps
 from projrep.catalog import catalog, coclass_contexts, get_group
-from projrep.errors import PhaseInstability
-from projrep.groups import PiSet, Subgroup, closure, commutator_subgroup, \
-    o_pi, quotient_group
+from projrep.errors import NotPermutation, PhaseInstability
+from projrep.groups import FiniteGroup, PiSet, Subgroup, closure, \
+    commutator_subgroup, o_pi, quotient_group
 from projrep.reps import (
     ProjRep,
     clifford_extend,
@@ -205,6 +205,43 @@ def _beta_reference(mats, mul):
     return beta, None
 
 
+def _build_group_reference(generators, name="G", points=None, cap=200):
+    """build_group with one dict lookup per Cayley table entry."""
+    gen_seqs = [list(g) for g in generators]
+    if points is None:
+        points = max((len(g) for g in gen_seqs), default=1)
+    perms = [groups._as_perm(g, points) for g in gen_seqs]
+    ident = tuple(range(points))
+    elems = [ident]
+    index = {ident: 0}
+    i = 0
+    while i < len(elems):
+        x = elems[i]
+        for g in perms:
+            y = tuple(g[v] for v in x)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+        i += 1
+    n = len(elems)
+    arr = np.array(elems, dtype=np.int64)
+    mul = np.empty((n, n), dtype=np.int64)
+    for j in range(n):
+        composed = arr[j][arr]          # row i = elems[i] followed by elems[j]
+        for i in range(n):
+            mul[i, j] = index[tuple(composed[i])]
+    gen_idx = []
+    for g in perms:
+        gi = index.get(g)
+        if gi is None:
+            raise NotPermutation("generator escaped its own closure")
+        if gi != 0 and gi not in gen_idx:
+            gen_idx.append(gi)
+    group = FiniteGroup(mul, name=name, generators=gen_idx or [0])
+    group._cache["perm_elements"] = arr
+    return group
+
+
 def _is_normal_reference(H):
     G, m = H.parent, H.mask()
     for g in range(G.order):
@@ -301,6 +338,29 @@ def test_conjugation_and_clifford_extension_match_loops():
             if not (_same(mats, _extension_reference(V, N, ext.inertia, A))
                     and _same(ext.beta, beta)):
                 bad.append((name, ctx.label, N.order, "clifford"))
+    assert bad == []
+
+
+def test_cayley_tables_match_loop(monkeypatch):
+    # every catalog entry, its table, generators and element list
+    calls = []
+    build = groups.build_group
+
+    def recording(gens, **kwargs):
+        calls.append((gens, kwargs))
+        return build(gens, **kwargs)
+
+    monkeypatch.setattr(groups, "build_group", recording)
+    bad = []
+    for e in catalog():
+        G = e.build()
+        gens, kwargs = calls[-1]
+        ref = _build_group_reference(gens, **kwargs)
+        if not (_same(G.mul, ref.mul) and G.generators == ref.generators
+                and _same(G._cache["perm_elements"],
+                          ref._cache["perm_elements"])):
+            bad.append(e.name)
+    assert len(calls) == len(catalog()) == 63
     assert bad == []
 
 
