@@ -12,6 +12,7 @@ context constructors import the compute layers when they are called.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from .errors import CrossCheckMismatch, UnknownGroup
@@ -237,6 +238,18 @@ def get_group(name: str) -> FiniteGroup:
                 f"catalog self-check failed: {name} solvability")
         _GROUPS[name] = G
     return _GROUPS[name]
+
+
+def resolve_group(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """A catalog name, or a path to a group JSON file."""
+    try:
+        return get_group(name)
+    except UnknownGroup:
+        p = Path(name)
+        if p.exists():
+            from .groups import load_group
+            return load_group(p, cap=order_cap)
+        raise
 
 
 def coclass_contexts(name: str,

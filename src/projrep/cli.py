@@ -80,7 +80,8 @@ def _context(options, group, coclass_index):
 @click.pass_obj
 def multiplier(options, group):
     """Invariant factors and basis hashes of the multiplier."""
-    from .workbench import multiplier_report, resolve_group
+    from .catalog import resolve_group
+    from .cohomology import multiplier_report
     G = resolve_group(group, options["order_cap"])
     click.echo(json.dumps(multiplier_report(G, h2_cap=options["h2_cap"]),
                           sort_keys=True))

@@ -751,6 +751,17 @@ def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultipli
     return G._cache.setdefault("schur", mult)
 
 
+def multiplier_report(G: FiniteGroup, h2_cap: int = DEFAULT_H2_CAP) -> dict:
+    mult = schur_multiplier(G, cap=h2_cap)
+    return {
+        "group": G.name,
+        "invariants": mult.invariants,
+        "order": mult.order,
+        "exponent": mult.exponent,
+        "basis_hashes": [c.hash_hex() for c in mult.basis],
+    }
+
+
 # -- coclasses ---------------------------------------------------------------
 
 

@@ -17,7 +17,9 @@ derived default, and with them ``gen_set`` and everything solved over it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .errors import (
     NotNormal,
     NotPermutation,
     NotPiSeparable,
+    ParseError,
 )
 from .tolerances import DEFAULT_ORDER_CAP
 
@@ -328,6 +331,51 @@ def build_group(generators, name: str = "G", points: int | None = None,
     group._cache["perm_points"] = points
     group._cache["perm_elements"] = arr
     return group
+
+
+# -- group JSON ---------------------------------------------------------------
+
+
+def parse_group_json(doc: dict, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    try:
+        name = str(doc["name"])
+        points = int(doc["points"])
+        gens = [list(map(int, g)) for g in doc["generators"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad group document: {exc}") from exc
+    if "cayley" not in doc:
+        return build_group(gens, name=name, points=points, cap=cap)
+    # canonical export path: the table is authoritative, the generators are
+    # its right-regular permutations and must agree with it
+    if points > cap:
+        raise ClosureTooLarge(f"group of order {points} exceeds cap {cap}")
+    try:
+        mul = np.asarray(doc["cayley"], dtype=np.int64).reshape(points, points)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad cayley table: {exc}") from exc
+    gen_idx = []
+    for p in gens:
+        if len(p) != points:
+            raise ParseError("generator length does not match points")
+        g = p[0] - 1
+        if not 0 <= g < points:
+            raise ParseError("generator image out of range")
+        if not np.array_equal(np.asarray(p, dtype=np.int64) - 1, mul[:, g]):
+            raise ParseError("generator permutation disagrees with the table")
+        gen_idx.append(g)
+    try:
+        return FiniteGroup(mul, name=name,
+                           generators=[g for g in gen_idx if g] or [0])
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def load_group(path, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read group file {path}: {exc}") from exc
+    return parse_group_json(doc, cap=cap)
 
 
 # -- subgroups -----------------------------------------------------------

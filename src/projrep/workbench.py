@@ -8,7 +8,10 @@ Cayley table, so identical configurations produce byte-identical reports at
 any number of workers.
 
 This module imports every compute layer at module level; the command line
-imports it only inside the commands that compute.
+imports it only inside the commands that compute.  ``resolve_group``,
+``parse_group_json``, ``load_group`` and ``multiplier_report`` live with the
+layers they need (catalog, groups, cohomology), so ``projrep multiplier``
+loads no representation layer; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -22,16 +25,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import catalog, get_group, group_contexts
-from .cohomology import Cocycle, schur_multiplier
-from .errors import ClosureTooLarge, ConfigError, ParseError, UnknownGroup
+from .catalog import catalog, group_contexts, resolve_group
+from .cohomology import Cocycle, multiplier_report
+from .errors import ConfigError, ParseError
 from .groups import (
     FiniteGroup,
     PiSet,
-    build_group,
     default_pi_sets,
     is_solvable,
+    load_group,
     o_pi,
+    parse_group_json,
     prime_divisors,
 )
 from .tolerances import (
@@ -86,17 +90,6 @@ class RunConfig:
 def _task_seed(seed: int, *parts: str) -> int:
     h = hashlib.sha256(("|".join(parts)).encode()).digest()
     return (seed * 0x9E3779B1 + int.from_bytes(h[:4], "big")) % (2**31)
-
-
-def resolve_group(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """A catalog name, or a path to a group JSON file."""
-    try:
-        return get_group(name)
-    except UnknownGroup:
-        p = Path(name)
-        if p.exists():
-            return load_group(p, cap=order_cap)
-        raise
 
 
 def contexts_for(name: str, config: RunConfig) -> list[CoclassContext]:
@@ -254,17 +247,6 @@ def degrees_report(ctx: CoclassContext) -> dict:
     }
 
 
-def multiplier_report(G: FiniteGroup, h2_cap: int = DEFAULT_H2_CAP) -> dict:
-    mult = schur_multiplier(G, cap=h2_cap)
-    return {
-        "group": G.name,
-        "invariants": mult.invariants,
-        "order": mult.order,
-        "exponent": mult.exponent,
-        "basis_hashes": [c.hash_hex() for c in mult.basis],
-    }
-
-
 def regular_classes_report(ctx: CoclassContext) -> dict:
     data = ctx.regular_data
     return {
@@ -279,48 +261,6 @@ def regular_classes_report(ctx: CoclassContext) -> dict:
 
 
 # -- group JSON ---------------------------------------------------------------
-
-
-def parse_group_json(doc: dict, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    try:
-        name = str(doc["name"])
-        points = int(doc["points"])
-        gens = [list(map(int, g)) for g in doc["generators"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad group document: {exc}") from exc
-    if "cayley" not in doc:
-        return build_group(gens, name=name, points=points, cap=cap)
-    # canonical export path: the table is authoritative, the generators are
-    # its right-regular permutations and must agree with it
-    if points > cap:
-        raise ClosureTooLarge(f"group of order {points} exceeds cap {cap}")
-    try:
-        mul = np.asarray(doc["cayley"], dtype=np.int64).reshape(points, points)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad cayley table: {exc}") from exc
-    gen_idx = []
-    for p in gens:
-        if len(p) != points:
-            raise ParseError("generator length does not match points")
-        g = p[0] - 1
-        if not 0 <= g < points:
-            raise ParseError("generator image out of range")
-        if not np.array_equal(np.asarray(p, dtype=np.int64) - 1, mul[:, g]):
-            raise ParseError("generator permutation disagrees with the table")
-        gen_idx.append(g)
-    try:
-        return FiniteGroup(mul, name=name,
-                           generators=[g for g in gen_idx if g] or [0])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def load_group(path, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read group file {path}: {exc}") from exc
-    return parse_group_json(doc, cap=cap)
 
 
 def export_group(G: FiniteGroup) -> dict:

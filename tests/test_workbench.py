@@ -320,8 +320,11 @@ def test_commands_that_compute_nothing_load_no_layer(tmp_path):
     for code, args in ((cli, ["catalog"]), (cli, ["--help"]),
                        (cli, ["verify", "--help"]), ("import projrep", [])):
         assert _loaded_after(tmp_path, heavy, code, args) == [], args
-    # a command that computes still loads every layer
-    assert _loaded_after(tmp_path, heavy, cli, ["multiplier", "C2"]) == heavy
+    # a command that computes loads the layers it runs, and no more: the
+    # multiplier needs groups and cohomology, and no representation layer
+    assert _loaded_after(tmp_path, heavy, cli, ["multiplier", "C2"]) == \
+        ["numpy", "projrep.cohomology", "projrep.groups"]
+    assert _loaded_after(tmp_path, heavy, cli, ["degrees", "C2"]) == heavy
 
 
 EXPORTS = {
