@@ -3,8 +3,8 @@
 Representations are unitary matrices per group element over a unit-modulus
 cocycle table.  Isomorphism always means Hom dimension one, read off the
 characters by ``hom_dim``; similarity classes are never compared by matrix
-equality.  All values are
-immutable and safe to share; randomized splits are pure in (input, seed).
+equality.  All values are immutable and safe to share; randomized splits
+are pure in (input, seed).
 """
 
 from __future__ import annotations

@@ -45,10 +45,10 @@ from .reps import (
     clifford_extend,
     decompose,
     factor_over_extension,
+    hom_dim,
     induce_rep,
     inertia_group,
     inflate_rep_on,
-    hom_dim,
     is_inertial,
     is_irreducible,
     restrict_rep,
