@@ -1,15 +1,23 @@
 """Second cohomology with complex-unit coefficients on small groups.
 
 Cocycles are stored additively: an integer table t with modulus m encodes the
-complex cocycle exp(2*pi*i*t/m).  The multiplier of G is assembled prime by
-prime: for each p with p^2 | |G| the classes of exponent p^j are computed as
+complex cocycle exp(2*pi*i*t/m).
 
-    Z^2(Z/q) / (coboundaries mod q + character carries)
+One exact test decides whether a class is trivial.  mu_n_exponents moves a
+table, complex or exponents, to a cohomologous mu_n-valued one (n = |G|)
+whose rows sum to zero, and that is trivial in H^2(G, C*) iff it is the
+coboundary of a Z/n-valued cochain: one congruence per Cayley-graph edge off
+a BFS tree, tested against a left annihilator computed once per group
+(_coboundary_tests).  The test at p decides the p-part of the class alone.
+is_trivial_coclass and class_order ask it, and so do the multiplier's
+relations and resolve.
 
-with q = p^floor(v_p(|G|)/2), which bounds the exponent of the p-part.  The
-carry tables account for coboundaries of complex cochains whose values are
-not q-th roots of unity; without them the quotient Z^2(mu_q)/B^2(mu_q)
-overcounts (already for C2).
+The multiplier of G is assembled prime by prime: for each p with p^2 | |G|,
+q = p^floor(v_p(|G|)/2) bounds the exponent of the p-part, whose classes
+are those of Z^2(Z/q); a combination of cocycle generators is a relation iff
+the annihilator at p kills its mu_n form on the edges.  resolve solves the
+same congruences for the exponents over the basis and certifies the answer
+with the test itself.
 
 Z^2(Z/q) is solved in generator coordinates.  A normalized cocycle is fixed
 by its values a(x, g) on the generators g, since the cocycle identity reads
@@ -20,14 +28,6 @@ solution and cokernel is read off one Smith decomposition over Z/p^k per
 solve, so FL is decomposed once per prime.  _kernel_from_chain makes kernel
 generators canonical, so basis cocycles do not depend on how the solve went.
 All of it is exact integer arithmetic, checked against the matrices solved.
-resolve and the relation kernel read only the rows of the entries a(x, g),
-since a cocycle that vanishes there vanishes everywhere.
-
-Triviality and order of a class need no multiplier: mu_n_exponents moves a
-table, complex or exponents, to a cohomologous mu_n-valued one (n = |G|)
-whose rows sum to zero, and that is trivial in H^2(G, C*) iff it is the
-coboundary of a Z/n-valued cochain, one congruence per Cayley-graph edge off
-a BFS tree, tested against a left annihilator computed once per group.
 Everything here is immutable after construction; the solver context is
 read-only and safe to share.
 """
@@ -53,7 +53,6 @@ from .groups import (
     Quotient,
     Subgroup,
     centralizer_of_set,
-    commutator_subgroup,
     factorize,
     quotient_group,
 )
@@ -331,9 +330,6 @@ class Cocycle:
         return Cocycle(H.as_group(), self.modulus,
                        self.table[np.ix_(el, el)], check=False)
 
-    def is_identity_table(self) -> bool:
-        return not np.any(self.table)
-
     def hash_hex(self) -> str:
         h = hashlib.sha256()
         h.update(str(self.modulus).encode())
@@ -462,18 +458,6 @@ def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     return lift[xf, yf], FL
 
 
-def _edge_rows(G: FiniteGroup) -> np.ndarray:
-    """Flat indices of the entries (x, g), x != 1 and g a generator.
-
-    A normalized cocycle that vanishes there vanishes everywhere, since
-    f(x, yg) = f(x, y) + f(xy, g) - f(y, g): so a combination of cocycle
-    columns is decided on these (|G|-1)*|gens| rows instead of (|G|-1)^2.
-    """
-    n = G.order
-    gens = np.array(_generators(G), dtype=np.int64)
-    return ((np.arange(n - 1)[:, None] * (n - 1)) + gens[None, :] - 1).ravel()
-
-
 def _distinct_nonzero_rows(M: np.ndarray) -> np.ndarray:
     """The first copy of each distinct nonzero row of M, in order.
 
@@ -501,69 +485,6 @@ def _cocycle_generators(L: np.ndarray, FL: np.ndarray, p: int,
                                for j, u in enumerate(chain, 1)], p)
 
 
-def _coboundary_columns(G: FiniteGroup) -> np.ndarray:
-    """delta of the unit 1-cochains, one flattened column per nonidentity g."""
-    if "delta_cols" in G._cache:
-        return G._cache["delta_cols"]
-    m = G.order - 1
-    # entry (x, y) of column g is [x = g] + [y = g] - [xy = g], in {-1..2}
-    r = np.arange(m * m)
-    x, y = r // m + 1, r % m + 1
-    xy = G.mul[x, y]
-    out = np.zeros((m * m, m), dtype=np.int8)
-    np.add.at(out, (r, x - 1), 1)
-    np.add.at(out, (r, y - 1), 1)
-    np.add.at(out, (r[xy != 0], xy[xy != 0] - 1), -1)
-    out.setflags(write=False)
-    return G._cache.setdefault("delta_cols", out)
-
-
-def _character_carries(G: FiniteGroup) -> list[tuple[int, np.ndarray]]:
-    """Carry tables of a primary generating set of Hom(G, Q/Z).
-
-    For a character with values r_g / q the q-th root cochain has coboundary
-    exp(2*pi*i*carry/q') for any modulus q'; the integer carry table
-    (r_x + r_y - r_xy)/q takes values in {0, 1}.
-    """
-    if "carries" in G._cache:
-        return G._cache["carries"]
-    out: list[tuple[int, np.ndarray]] = []
-    der = commutator_subgroup(G)
-    if der.order < G.order:
-        quot = quotient_group(G, der)
-        A, proj = quot.group, quot.projection
-        na = A.order
-        exp_a = A.exponent()
-        pairs_x, pairs_y = np.meshgrid(np.arange(1, na), np.arange(1, na),
-                                       indexing="ij")
-        px, py = pairs_x.reshape(-1), pairs_y.reshape(-1)
-        pxy = A.mul[px, py]
-        rows = px.size
-        for ell, j in factorize(exp_a).items():
-            q = ell**j
-            M = np.zeros((rows, na - 1), dtype=np.int64)
-            r = np.arange(rows)
-            np.add.at(M, (r, px - 1), 1)
-            np.add.at(M, (r, py - 1), 1)
-            ok = pxy != 0
-            np.add.at(M, (r[ok], pxy[ok] - 1), -1)
-            for gen in kernel_mod_prime_power(M, ell, j):
-                if not np.any(gen):
-                    continue
-                values = np.concatenate([[0], gen])
-                vg = values[proj]
-                carry = (vg[:, None] + vg[None, :] - values[proj[G.mul]]) // q
-                out.append((ell, _flat(carry).astype(np.int8)))
-    G._cache["carries"] = out
-    return out
-
-
-def _boundaries(G: FiniteGroup, p: int) -> np.ndarray:
-    """The coboundary columns and the carries of the p-power characters."""
-    carries = [c for ell, c in _character_carries(G) if ell == p]
-    return np.column_stack([_coboundary_columns(G)] + carries)
-
-
 class SchurMultiplier:
     """H^2(G, C*) with invariant factors, basis coclasses, and a solver.
 
@@ -572,14 +493,16 @@ class SchurMultiplier:
     """
 
     def __init__(self, group: FiniteGroup, invariants: list[int],
-                 basis: list[Cocycle],
-                 prime_tables: dict[int, tuple[int, list]]):
+                 basis: list[Cocycle]):
         self.group = group
         self.invariants = list(invariants)
         self.basis = list(basis)
         self.modulus = max(group.order, 1)
-        # per prime p: (q_p, list over basis slots of flat tables mod q_p or None)
-        self._prime_tables = prime_tables
+        # the basis in mu_n form on the edges of _coboundary_tests, one
+        # column per slot, for resolve
+        self._edge_basis = _edge_forms(group, np.stack(
+            [_flat(c.table) for c in basis], axis=1), self.modulus) \
+            if basis else None
 
     @property
     def order(self) -> int:
@@ -623,41 +546,37 @@ class SchurMultiplier:
     def resolve(self, table: np.ndarray, modulus: int) -> tuple[int, ...]:
         """Exponent vector of a valid cocycle table over the basis.
 
-        Solves  table = sum_i e_i basis_i + coboundary + carries  one prime
-        at a time and combines the exponents by CRT.  With M = q r, q the
-        p-part of the common modulus, the p-component of exp(2 pi i t / M)
-        is exp(2 pi i t r^-1 / q), so the target is t r^-1 mod q.  Every
-        column is a cocycle, so the solve reads only the edge rows; the
-        solution is then checked on every row.
+        The table and the basis are read in mu_n form on the edges of
+        _coboundary_tests, and x is the answer iff e - sum_i x_i b_i passes
+        the test N_q at every prime power q = p^v of |G|.  Wherever p divides
+        an invariant, N_q B x = N_q e mod q fixes each x_i mod the p-part of
+        d_i; the parts are combined by CRT, and the answer is certified with
+        the class test itself.
         """
         G = self.group
-        n = G.order
-        if table.shape != (n, n):
-            raise ModulusMismatch("table shape mismatch")
-        M_all = _lcm(modulus, self.modulus)
-        t_flat = _flat(np.asarray(table, dtype=np.int64)) * (M_all // modulus)
-        k_basis = len(self.invariants)
-        crt: list[tuple[int, int]] = [(1, 0)] * k_basis
-        rows = _edge_rows(G)
-        for p, e in factorize(M_all).items():
-            q = p**e
-            qp, tabs = self._prime_tables.get(p, (1, [None] * k_basis))
-            basis = [np.zeros(t_flat.size, dtype=np.int64) if tab is None
-                     else tab * (q // qp) for tab in tabs]
-            A = np.column_stack(basis + [_boundaries(G, p)])
-            t = t_flat * pow(M_all // q, -1, q) % q
-            sol = solve_mod_prime_power(A[rows], t[rows], p, e)
-            if sol is None or np.any(_matmul_mod(A, sol[:, None], q)[:, 0] - t):
-                raise ModulusMismatch(
-                    f"table is not a {G.name} cocycle class over the basis")
-            for i in range(k_basis):
-                dp = p ** min(e, _valuation(self.invariants[i], p))
-                if dp > 1:
-                    crt[i] = _crt(crt[i], (dp, int(sol[i]) % dp))
-        return tuple(crt[i][1] % self.invariants[i] for i in range(k_basis))
-
-    def is_trivial_class(self, table: np.ndarray, modulus: int) -> bool:
-        return not any(self.resolve(table, modulus))
+        edges, tests = _coboundary_tests(G)
+        e = mu_n_exponents(G, table, modulus)[0][edges]
+        crt = [(1, 0)] * len(self.invariants)
+        for p, (v, N) in tests.items():
+            parts = [p ** _valuation(d, p) for d in self.invariants]
+            if max(parts, default=1) == 1:
+                continue
+            q = p**v
+            x = solve_mod_prime_power(_matmul_mod(N, self._edge_basis, q),
+                                      _matmul_mod(N, e[:, None], q)[:, 0],
+                                      p, v)
+            if x is None:
+                raise CrossCheckMismatch(
+                    f"the {G.name} basis does not span a class at {p}")
+            crt = [_crt(c, (dp, int(xi) % dp)) if dp > 1 else c
+                   for c, dp, xi in zip(crt, parts, x)]
+        vec = tuple(r for _, r in crt)
+        if self.basis:
+            e = e - self._edge_basis @ np.array(vec, dtype=np.int64)
+        if not _is_coboundary(G, e):
+            raise CrossCheckMismatch(
+                f"{G.name} exponents {vec} leave a nontrivial class")
+        return vec
 
     def __repr__(self) -> str:
         return f"SchurMultiplier({self.group.name}, invariants={self.invariants})"
@@ -704,50 +623,43 @@ def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultipli
             if not Z.size:
                 continue
             q = p**k
-            # every column is a cocycle: the relations are read off the
-            # edge rows and checked on all of them
-            ZB = np.column_stack([Z, _boundaries(G, p)])
-            rel = kernel_mod_prime_power(ZB[_edge_rows(G)], p, k)
-            if rel and np.any(_matmul_mod(ZB, np.stack(rel, axis=1), q)):
+            # x is a relation iff the class of Z x is trivial, iff N E x = 0
+            # mod p^v on the mu_n forms E: the tests at the other primes hold
+            # since q [Z x] = 0, and for the same reason p^(v-k) divides N E
+            v, N = _coboundary_tests(G)[1][p]
+            NE = _matmul_mod(N, _edge_forms(G, Z, q), p**v)
+            if np.any(NE % p ** (v - k)):
                 raise CrossCheckMismatch(
-                    f"a relation of {G.name} fails off the edge rows")
-            pres = (np.stack(rel, axis=1)[:Z.shape[1]] if rel
+                    f"a {G.name} cocycle mod {q} has a class of order above {q}")
+            rel = kernel_mod_prime_power(NE // p ** (v - k), p, k)
+            pres = (np.stack(rel, axis=1) if rel
                     else np.zeros((Z.shape[1], 0), dtype=np.int64))
             diag, uinv = _cokernel(pres, p, k)
             slots = [slot for slot, d in enumerate(diag) if d > 1]
-            if slots:  # ascending prime-power orders
-                tabs = _matmul_mod(Z, uinv[:, slots], q)
-                parts[p] = [(diag[s], np.ascontiguousarray(tabs[:, i]))
-                            for i, s in enumerate(slots)]
+            if slots:  # ascending prime-power orders, as tables mod n
+                tabs = _matmul_mod(Z, uinv[:, slots], q) * (n // q)
+                parts[p] = [(diag[s], tabs[:, i]) for i, s in enumerate(slots)]
     # merge the p-parts into invariant factors d_1 | d_2 | ...
     width = max((len(v) for v in parts.values()), default=0)
     invariants = []
     basis = []
-    prime_tables: dict[int, tuple[int, list]] = {}
     m = max(n, 1)
     for slot in range(width):
         d = 1
         acc = np.zeros((n, n), dtype=np.int64)
-        for p, plist in parts.items():
+        for plist in parts.values():
             shifted = slot - (width - len(plist))
             if shifted < 0:
                 continue
             dp, tab = plist[shifted]
             d *= dp
-            q = p ** (factorize(n)[p] // 2)
-            acc += _unflat(tab, n) * (m // q)
+            acc += _unflat(tab, n)
         invariants.append(d)
         rep = Cocycle(G, m, acc % m, check=False)
         if not rep.is_cocycle():
             raise CocycleMismatch(f"basis table {slot} of {G.name} is not a cocycle")
         basis.append(rep)
-    for p, plist in parts.items():
-        q = p ** (factorize(n)[p] // 2)
-        aligned: list = [None] * width
-        for i, (dp, tab) in enumerate(plist):
-            aligned[width - len(plist) + i] = tab
-        prime_tables[p] = (q, aligned)
-    mult = SchurMultiplier(G, invariants, basis, prime_tables)
+    mult = SchurMultiplier(G, invariants, basis)
     return G._cache.setdefault("schur", mult)
 
 
@@ -952,8 +864,31 @@ def mu_n_exponents(G: FiniteGroup, table: np.ndarray,
     return e, margin
 
 
-def _coboundary_tests(G: FiniteGroup) -> tuple[tuple, list]:
-    """(edges, [(q, N_q)]): e in B^2(G, Z/n) iff N_q e[edges] = 0 mod q.
+def _edge_forms(G: FiniteGroup, Z: np.ndarray, q: int) -> np.ndarray:
+    """The mu_n forms of Z/q cocycles on the edges of _coboundary_tests.
+
+    Z holds flat tables (as _flat) as columns.  For each, the form of
+    mu_n_exponents, e = (n a + S(xy) - S(x) - S(y)) / q with S the row sums,
+    is integer-linear in the lift of a, and reducing a mod q moves it by a
+    Z/n coboundary: so a combination of columns has the class of the same
+    combination of their forms.  Only S and the edge entries are read.
+    """
+    n = G.order
+    edges, _ = _coboundary_tests(G)
+    T = Z.reshape(n - 1, n - 1, Z.shape[1])
+    S = np.zeros((n, Z.shape[1]), dtype=np.int64)
+    S[1:] = T.sum(axis=1, dtype=np.int64)
+    ys, gs = edges
+    num = (n * T[ys - 1, gs - 1].astype(np.int64)
+           + S[G.mul[edges]] - S[ys] - S[gs])
+    if np.any(num % q):
+        raise CocycleMismatch(f"a column is not a cocycle mod {q}")
+    return num // q
+
+
+def _coboundary_tests(G: FiniteGroup) -> tuple[tuple, dict]:
+    """(edges, {p: (k, N)}): e in B^2(G, Z/n) iff N e[edges] = 0 mod p^k for
+    every prime power p^k exactly dividing n.
 
     A normalized l: G -> Z/n with delta(l) = e is fixed by its values on the
     generators: along the Cayley tree, l(yg) = l(y) + l(g) - e(y, g).  Each
@@ -962,7 +897,8 @@ def _coboundary_tests(G: FiniteGroup) -> tuple[tuple, list]:
     every edge (y, g) makes delta(l) = e everywhere.  Per prime power q of n,
     the rows of U scaled by p^(k - v_i) (Smith form U A V = D mod q, v_i = k
     past the rank) span the left annihilator of A, and Z/q is a Frobenius
-    ring, so B e lies in the column span iff they kill it: N_q = Ann B.
+    ring, so B e lies in the column span iff they kill it: N_q = Ann B.  The
+    test at p alone decides whether the p-part of the class is trivial.
     Computed once per group and checked against A.
     """
     if "coboundary_tests" in G._cache:
@@ -988,7 +924,7 @@ def _coboundary_tests(G: FiniteGroup) -> tuple[tuple, list]:
     A = (coef[ys] - coef[zs] + np.eye(r, dtype=np.int64)[bs])[~on_tree]
     B = (np.eye(ys.size, dtype=np.int64) + const[zs] - const[ys])[~on_tree]
     rows = A.shape[0]
-    tests = []
+    tests = {}
     for p, k in factorize(n).items():
         q = p**k
         vals, _, U = smith_mod_prime_power(A, p, k,
@@ -999,29 +935,30 @@ def _coboundary_tests(G: FiniteGroup) -> tuple[tuple, list]:
         if np.any(_matmul_mod(ann, A, q)):
             raise CrossCheckMismatch(f"an annihilator row fails w A = 0 mod {q}")
         N = _matmul_mod(ann, B, q)
-        tests.append((q, N[np.any(N, axis=1)]))
+        tests[p] = (k, N[np.any(N, axis=1)])
     out = (edges, tests)
     return G._cache.setdefault("coboundary_tests", out)
 
 
-def _is_coboundary(G: FiniteGroup, e: np.ndarray) -> bool:
-    """True iff the mu_n exponent table e is delta of a Z/n-valued cochain."""
-    edges, tests = _coboundary_tests(G)
-    v = e[edges][:, None]
-    return not any(np.any(_matmul_mod(N, v, q)) for q, N in tests)
+def _is_coboundary(G: FiniteGroup, v: np.ndarray) -> bool:
+    """True iff the entries v = e[edges] of a mu_n exponent table e, as
+    _coboundary_tests names them, are those of delta of a Z/n cochain."""
+    return not any(np.any(_matmul_mod(N, v[:, None], p**k))
+                   for p, (k, N) in _coboundary_tests(G)[1].items())
 
 
 def is_trivial_coclass(G: FiniteGroup, table: np.ndarray,
                        modulus: int | None = None) -> bool:
     """True iff the cocycle table (complex units, or exponents mod
     ``modulus``) is a coboundary in C*: exact, with no eigen-solve."""
-    return _is_coboundary(G, mu_n_exponents(G, table, modulus)[0])
+    e = mu_n_exponents(G, table, modulus)[0]
+    return _is_coboundary(G, e[_coboundary_tests(G)[0]])
 
 
 def class_order(c: Cocycle) -> int:
     """Order of the class of c in H^2(G, C*): the least k dividing the
     modulus with c^k trivial, where k e represents c^k."""
-    n = c.group.order
-    e, _ = mu_n_exponents(c.group, c.table, c.modulus)
+    G = c.group
+    e = mu_n_exponents(G, c.table, c.modulus)[0][_coboundary_tests(G)[0]]
     return next(k for k in _divisors(c.modulus)
-                if _is_coboundary(c.group, k * e % n))
+                if _is_coboundary(G, k * e % G.order))

@@ -399,9 +399,6 @@ class Subgroup:
         m.setflags(write=False)
         self._cache: dict = {"mask": m}
 
-    def contains(self, g: int) -> bool:
-        return bool(self.mask()[g])
-
     def mask(self) -> np.ndarray:
         return self._cache["mask"]
 

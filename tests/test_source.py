@@ -135,6 +135,30 @@ def test_exact_class_decisions_stand_apart_from_the_algebra():
     assert found == []
 
 
+def test_one_class_test_in_cohomology():
+    # the edge annihilator of _coboundary_tests is the one class test: the
+    # multiplier's relations and resolve read it too, and no second
+    # construction (character carries over the abelianization, coboundary
+    # columns filled with np.add.at) stands beside it
+    path = PACKAGE / "cohomology.py"
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+
+    def calls(f):
+        return {node.func.id for node in ast.walk(f)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)}
+
+    functions = {f.name: f for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef)}
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "np.add.at" not in source
+    assert "commutator_subgroup" not in imported
+    for name in ("resolve", "schur_multiplier"):
+        assert "_coboundary_tests" in calls(functions[name]), name
+
+
 def test_hom_counts_come_from_characters():
     # a caller that reads only dim Hom takes it from hom_dim's character
     # inner product; intertwiner_space's SVD serves the callers that use
