@@ -520,16 +520,6 @@ def centralizer_of_set(G: FiniteGroup, elements) -> Subgroup:
     return Subgroup(G, np.nonzero(mask)[0])
 
 
-def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    m = H.mask()
-    keep = []
-    for g in range(G.order):
-        conj = G.mul[G.mul[G.inv[g], H.elements], g]
-        if m[conj].all():
-            keep.append(g)
-    return Subgroup(G, keep)
-
-
 def derived_subgroup(G: FiniteGroup, elements) -> Subgroup:
     """Commutator subgroup of the subgroup spanned by ``elements``."""
     el = np.asarray(list(elements), dtype=np.int64)

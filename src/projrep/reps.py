@@ -3,8 +3,10 @@
 Representations are unitary matrices per group element over a unit-modulus
 cocycle table.  Isomorphism always means Hom dimension one, read off the
 characters by ``hom_dim``; similarity classes are never compared by matrix
-equality.  All values are immutable and safe to share; randomized splits
-are pure in (input, seed).
+equality.  Conjugation twists come from ``twisted.alpha_tilde`` and the
+right regular action from the algebra, so every product of cocycle values
+has numpy's array rounding.  All values are immutable and safe to share;
+randomized splits are pure in (input, seed).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .twisted import (
     RegularClassData,
     TwistedAlgebra,
     _cluster,
+    alpha_tilde,
     c_regular_classes,
     wedderburn,
 )
@@ -83,9 +86,6 @@ class ProjRep:
             target = self.table[x][:, None, None] * self.matrices[G.mul[x]]
             worst = max(worst, float(np.max(np.abs(prod - target))))
         return worst
-
-    def matrix(self, g: int) -> np.ndarray:
-        return self.matrices[g]
 
     def __repr__(self) -> str:
         return f"ProjRep({self.group.name}, degree={self.degree})"
@@ -222,14 +222,6 @@ def split_regular(A: TwistedAlgebra, seed: int = 0) -> list[ProjRep]:
     return out
 
 
-def _right_action_matrix(A: TwistedAlgebra, v: np.ndarray) -> np.ndarray:
-    n = A.group.order
-    M = np.zeros((n, n), dtype=np.complex128)
-    g = np.nonzero(np.abs(v) > 0)[0]
-    M[A.group.mul[:, g].T, np.arange(n)] += v[g, None] * A.table[:, g].T
-    return M
-
-
 def _split_block(A: TwistedAlgebra, V: np.ndarray, degree: int,
                  seed: int) -> ProjRep:
     n = A.group.order
@@ -238,7 +230,7 @@ def _split_block(A: TwistedAlgebra, V: np.ndarray, degree: int,
         rng = np.random.default_rng(seed + 104729 * attempt + degree)
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b = z + A.star(z)
-        C = V.conj().T @ _right_action_matrix(A, b) @ V
+        C = V.conj().T @ A.right_action_matrix(b) @ V
         evals, evecs = np.linalg.eigh((C + C.conj().T) / 2)
         # pick the lowest eigenvalue cluster; it must have dim = degree
         gap = TOL_GAP * max(1.0, float(evals[-1] - evals[0]))
@@ -334,16 +326,6 @@ def decompose(r: ProjRep, seed: int = 0) -> list[Constituent]:
     raise last or NumericDegeneracy("decompose failed")
 
 
-def _scalar_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise, rounded like a product of two numpy complex scalars
-    (numpy's array loop may fuse multiply and add; its scalar product does not).
-    """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def conjugate_rep(r: ProjRep, N: Subgroup, g: int, A: TwistedAlgebra) -> ProjRep:
     """x -> twist(x, g) phi(x^g): the conjugate over the same cocycle."""
     G = A.group
@@ -353,7 +335,7 @@ def conjugate_rep(r: ProjRep, N: Subgroup, g: int, A: TwistedAlgebra) -> ProjRep
     xg = G.mul[G.mul[G.inv[g], el], g]
     if not N.mask()[xg].all():
         raise NotNormal("conjugation leaves the subgroup")
-    tw = _scalar_product(A.table[el, g], np.conj(A.table[g, xg]))
+    tw = alpha_tilde(A, el, g)
     mats = tw[:, None, None] * r.matrices[N.positions()[xg]]
     return ProjRep(r.group, r.table, mats, check=False)
 
@@ -374,7 +356,7 @@ def transport_rep(r: ProjRep, H: Subgroup, g: int,
     Ht = Subgroup(G, G.mul[G.mul[G.inv[g], H.elements], g])
     y = Ht.elements
     x = G.mul[G.mul[g, y], G.inv[g]]  # y^(g^-1)
-    tw = _scalar_product(np.conj(A.table[x, g]), A.table[g, y])
+    tw = np.conj(alpha_tilde(A, x, g))
     mats = tw[:, None, None] * r.matrices[H.positions()[x]]
     return ProjRep(Ht.as_group(), A.table[np.ix_(y, y)], mats), Ht
 
@@ -396,7 +378,7 @@ def inertia_group(r: ProjRep, N: Subgroup, A: TwistedAlgebra) -> Subgroup:
     if not N.mask()[xt].all():
         raise NotNormal("conjugation leaves the subgroup")
     chi = _traces(r)
-    tw = A.table[el, t] * np.conj(A.table[t, xt])
+    tw = alpha_tilde(A, el, t)
     inertial = _hom_counts(chi, tw * chi[N.positions()[xt]]) == 1
     # closure is checked by the constructor
     return Subgroup(G, G.mul[quot.section[inertial][:, None], el].ravel())
@@ -569,7 +551,7 @@ def induce_rep(r: ProjRep, H: Subgroup, A: TwistedAlgebra) -> ProjRep:
     i = coset_of[gt]
     ti = reps[i]
     h = G.mul[G.inv[ti], gt]
-    scal = _scalar_product(A.table[:, reps], np.conj(A.table[ti, h]))
+    scal = A.table[:, reps] * np.conj(A.table[ti, h])
     mats = np.zeros((n, k, d, k, d), dtype=np.complex128)
     mats[np.arange(n)[:, None], i, :, np.arange(k), :] = \
         scal[:, :, None, None] * r.matrices[H.positions()[h]]

@@ -1,9 +1,11 @@
-"""The complex twisted group algebra: regular representation, c-regular
-classes, center, and the Wedderburn block degrees.
+"""The complex twisted group algebra: both regular actions, the conjugation
+twist, c-regular classes, center, and the Wedderburn block degrees.
 
 Unit-modulus cocycle values make every regular matrix unitary and the
 algebra star-closed, so all spectral work happens on Hermitian matrices.
-Algebras are immutable; ``wedderburn`` is a pure function of (A, seed).
+``alpha_tilde`` is the one place a conjugation twist is formed, for this
+module and for the Clifford steps of reps.py.  Algebras are immutable;
+``wedderburn`` is a pure function of (A, seed).
 """
 
 from __future__ import annotations
@@ -57,21 +59,6 @@ class TwistedAlgebra:
     def order(self) -> int:
         return self.group.order
 
-    def left_regular(self, g: int) -> np.ndarray:
-        """Matrix of left multiplication by g sigma on the basis."""
-        n = self.group.order
-        L = np.zeros((n, n), dtype=np.complex128)
-        h = np.arange(n)
-        L[self.group.mul[g, h], h] = self.table[g, h]
-        return L
-
-    def right_regular(self, g: int) -> np.ndarray:
-        n = self.group.order
-        R = np.zeros((n, n), dtype=np.complex128)
-        h = np.arange(n)
-        R[self.group.mul[h, g], h] = self.table[h, g]
-        return R
-
     def action_matrix(self, v: np.ndarray) -> np.ndarray:
         """Left multiplication by the algebra element with coefficients v."""
         n = self.group.order
@@ -79,6 +66,15 @@ class TwistedAlgebra:
         g = np.nonzero(np.abs(v) > 0)[0]
         # column h meets each g in a different row, so no entry sums terms
         M[self.group.mul[g], np.arange(n)] += v[g, None] * self.table[g]
+        return M
+
+    def right_action_matrix(self, v: np.ndarray) -> np.ndarray:
+        """Right multiplication by the algebra element with coefficients v."""
+        n = self.group.order
+        M = np.zeros((n, n), dtype=np.complex128)
+        g = np.nonzero(np.abs(v) > 0)[0]
+        # column h meets each g in a different row, so no entry sums terms
+        M[self.group.mul[:, g].T, np.arange(n)] += v[g, None] * self.table[:, g].T
         return M
 
     def multiply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -108,20 +104,17 @@ class TwistedAlgebra:
         return f"TwistedAlgebra({self.group.name})"
 
 
-def alpha_tilde(A: TwistedAlgebra, x: int, g: int) -> complex:
-    """The conjugation twist a(x,g) * a(g, x^g)^-1."""
-    xg = A.group.conj(x, g)
-    return A.table[x, g] * np.conj(A.table[g, xg])
+def alpha_tilde(A: TwistedAlgebra, x: int | np.ndarray,
+                g: int | np.ndarray) -> np.ndarray:
+    """The conjugation twist a(x,g) * a(g, x^g)^-1 for index arrays x and g,
+    broadcast against each other.
 
-
-def _alpha_tilde_row(A: TwistedAlgebra, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors (x^g, twist(x, g)) over all g."""
+    ``np.multiply`` rounds integer arguments as it rounds arrays; the
+    product of two numpy scalars would take the scalar path.
+    """
     G = A.group
-    n = G.order
-    g = np.arange(n)
-    xg = G.mul[G.mul[G.inv, x][g], g]
-    tw = A.table[x, g] * np.conj(A.table[g, xg])
-    return xg, tw
+    xg = G.mul[G.mul[G.inv[g], x], g]
+    return np.multiply(A.table[x, g], np.conj(A.table[g, xg]))
 
 
 @dataclass(frozen=True)
@@ -156,10 +149,12 @@ def c_regular_classes(A: TwistedAlgebra) -> RegularClassData:
     if "c_regular" in A._cache:
         return A._cache["c_regular"]
     G = A.group
+    g = np.arange(G.order)
     records = []
     for cls in conjugacy_classes(G):
         x = cls.representative
-        xg, tw = _alpha_tilde_row(A, x)
+        xg = G.mul[G.mul[G.inv[g], x], g]
+        tw = alpha_tilde(A, x, g)
         vec = np.zeros(G.order, dtype=np.complex128)
         np.add.at(vec, xg, tw)
         vec /= cls.centralizer_order
@@ -198,7 +193,8 @@ def _center_dimension(A: TwistedAlgebra) -> int:
     gens = G.gen_set()
     if not gens:
         return G.order
-    stacks = [A.left_regular(g) - A.right_regular(g) for g in gens]
+    e = np.eye(G.order, dtype=np.complex128)
+    stacks = [A.action_matrix(e[g]) - A.right_action_matrix(e[g]) for g in gens]
     M = np.concatenate(stacks, axis=0)
     s = np.linalg.svd(M, compute_uv=False)
     scale = max(1.0, float(s[0])) if s.size else 1.0

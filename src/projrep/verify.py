@@ -126,10 +126,6 @@ class CheckResult:
     witnesses: dict = field(default_factory=dict)
     reason: str = ""
 
-    @property
-    def failed(self) -> bool:
-        return self.verdict == "fail"
-
     def to_dict(self) -> dict:
         return {
             "check": self.name,

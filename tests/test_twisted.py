@@ -163,6 +163,8 @@ def test_star_antiautomorphism(v4_twisted):
 
 
 def test_regular_matrices_unitary(v4_twisted):
+    e = np.eye(4, dtype=np.complex128)
     for g in range(4):
-        L = v4_twisted.left_regular(g)
-        assert np.max(np.abs(L @ L.conj().T - np.eye(4))) < 1e-12
+        for M in (v4_twisted.action_matrix(e[g]),
+                  v4_twisted.right_action_matrix(e[g])):
+            assert np.max(np.abs(M @ M.conj().T - np.eye(4))) < 1e-12

@@ -140,18 +140,6 @@ def test_group_json_without_table():
     assert G.order == 6
 
 
-def test_cocycle_json_roundtrip():
-    from projrep.workbench import export_cocycle, parse_cocycle_json
-    ctx = coclass_contexts("D4")[1]
-    doc = export_cocycle(ctx.cocycle)
-    back = parse_cocycle_json(doc, ctx.group)
-    assert np.array_equal(back.table, ctx.cocycle.table)
-    assert back.modulus == ctx.cocycle.modulus
-    doc["table"][5] += 1  # breaks either normalization or the identity
-    with pytest.raises(ParseError):
-        parse_cocycle_json(doc, ctx.group)
-
-
 def test_group_json_malformed():
     with pytest.raises(ParseError):
         parse_group_json({"name": "x", "points": 3})
