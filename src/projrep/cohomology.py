@@ -303,11 +303,8 @@ class Cocycle:
                 raise ModulusMismatch("table violates the cocycle identity")
 
     def is_cocycle(self) -> bool:
-        """Exact check of a(x,y)+a(xy,z) = a(y,z)+a(x,yz) mod m on all
-        triples, one x at a time, so no (n, n, n) array is formed."""
-        t, mul, m = self.table, self.group.mul, self.modulus
-        return not any(np.any((t[x][:, None] + t[mul[x]] - t - t[x][mul]) % m)
-                       for x in range(len(t)))
+        return _satisfies_cocycle_identity(self.group, self.table,
+                                           self.modulus)
 
     def unit_table(self) -> np.ndarray:
         return np.exp(2j * np.pi * self.table / self.modulus)
@@ -363,10 +360,6 @@ class Cochain1:
         return Cocycle(self.group, m, tab, check=False)
 
 
-def is_cocycle(a: Cocycle) -> bool:
-    return a.is_cocycle()
-
-
 # -- the multiplier ----------------------------------------------------------
 
 
@@ -384,6 +377,17 @@ def _unflat(v: np.ndarray, n: int) -> np.ndarray:
 def _generators(G: FiniteGroup) -> list[int]:
     """The distinct nonidentity elements of G.gen_set()."""
     return [g for g in dict.fromkeys(G.gen_set()) if g]
+
+
+def _satisfies_cocycle_identity(G: FiniteGroup, t: np.ndarray, m: int) -> bool:
+    """The cocycle identity mod m on the triples (x, y, g), g a generator.
+    Its defect F(x,y,z) = t(x,y) + t(xy,z) - t(y,z) - t(x,yz) has
+    F(x,y,zg) = F(x,y,z) + F(x,yz,g) - F(xy,z,g) + F(y,z,g), and every
+    element is a nonempty word in the generators, so they imply the rest."""
+    gens = _generators(G)
+    lhs = t[:, :, None] + t[:, gens][G.mul]
+    rhs = t[None, :, gens] + t[:, G.mul[:, gens]]
+    return not np.any((lhs - rhs) % m)
 
 
 def _cayley_tree(G: FiniteGroup) -> list[tuple[int, int, int]]:
@@ -823,10 +827,9 @@ def mu_n_exponents(G: FiniteGroup, table: np.ndarray,
     forces n l = 0: e is trivial in H^2(G, C*) iff it is the coboundary of a
     Z/n-valued cochain.  Exponent tables are exact (m must divide the
     numerator of e); complex tables are rounded, and the worst rounding
-    distance is returned as the margin.  The cocycle identity of e is
-    checked exactly on the triples (x, y, g), g a generator, which imply
-    every other.  Raises CocycleMismatch on a table that is not a cocycle
-    within ``TOL_UNIT``.
+    distance is returned as the margin.  Raises CocycleMismatch on a complex
+    table more than ``TOL_UNIT`` off the unit circle or off mu_n, and on any
+    e that fails the cocycle identity.
     """
     n = G.order
     if modulus is None:
@@ -856,10 +859,7 @@ def mu_n_exponents(G: FiniteGroup, table: np.ndarray,
         if np.any(num % m):
             raise CocycleMismatch(f"table is not a cocycle mod {m}")
         e, margin = (num // m) % n, 0.0
-    gens = _generators(G)
-    lhs = e[:, :, None] + e[:, gens][G.mul]
-    rhs = e[None, :, gens] + e[:, G.mul[:, gens]]
-    if np.any((lhs - rhs) % n):
+    if not _satisfies_cocycle_identity(G, e, n):
         raise CocycleMismatch("table violates the cocycle identity")
     return e, margin
 

@@ -62,8 +62,8 @@ class CrossCheckMismatch(ProjrepError):
 
 
 class CocycleMismatch(ProjrepError):
-    """A table is not a cocycle, or representations do not share one,
-    within tolerance."""
+    """A table is not a cocycle, a complex one lies more than ``TOL_UNIT``
+    from an exact one, or representations do not share one."""
 
 
 class InertiaMismatch(ProjrepError):

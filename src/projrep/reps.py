@@ -189,7 +189,7 @@ def character(r: ProjRep, regular: RegularClassData | None = None) -> np.ndarray
     classes = conjugacy_classes(r.group)
     chi = np.array([np.trace(r.matrices[c.representative]) for c in classes])
     if regular is None:
-        regular = c_regular_classes(TwistedAlgebra(r.group, r.table, check=False))
+        regular = c_regular_classes(TwistedAlgebra(r.group, r.table))
     for value, rec in zip(chi, regular.records):
         if not rec.c_regular and abs(value) > TOL_CHECK * max(1, r.degree):
             raise CrossCheckMismatch(
@@ -471,7 +471,7 @@ def clifford_extend(r: ProjRep, N: Subgroup, J: Subgroup,
         raise ValueError("restricted subgroup does not match the rep's group")
     quot = quotient_group(Jg, n_in_j)
     d = r.degree
-    T = _coset_intertwiners(r, n_in_j, quot, TwistedAlgebra(Jg, jtab, check=False))
+    T = _coset_intertwiners(r, n_in_j, quot, TwistedAlgebra(Jg, jtab))
     tj = quot.section[quot.projection]  # the coset representative of each j
     nn = Jg.mul[np.arange(Jg.order), Jg.inv[tj]]
     mats = np.conj(jtab[nn, tj])[:, None, None] * \

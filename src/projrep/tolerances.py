@@ -1,10 +1,10 @@
 """Every numerical threshold of the package, in one table, and the defaults
 the command line shows.
 
-Degree integrality needs none: a block rank is an integer, tested as an
-exact square.  Class triviality and order need none either: they are exact
-integer decisions, and ``TOL_UNIT`` only bounds how far a complex table lies
-from the exact cocycle it is rounded to.  Reports carry ``TOLERANCES``.
+Degree integrality, class triviality and order, the cocycle identity and
+c-regularity need none: they are exact integer decisions, and ``TOL_UNIT``
+only bounds how far a complex table lies from the exact cocycle it is
+rounded to.  Reports carry ``TOLERANCES``.
 
 The order caps and check names are not thresholds and stay out of the
 table.  They live here, with no numpy import, so that ``--help`` and the
@@ -13,8 +13,7 @@ option defaults load no compute layer.
 
 TOL_GAP = 1e-8       # relative to the spectrum: eigen-clusters and ranks
 TOL_DEFECT = 1e-8    # absolute: Hermitian, idempotent, rep and trace defects
-TOL_UNIT = 1e-9      # unit modulus, normalization, class sums and rounding
-TOL_COCYCLE = 1e-12  # per element: the multiplicative cocycle identity
+TOL_UNIT = 1e-9      # unit modulus, normalization, rounding and class sums
 TOL_UNITARY = 1e-7   # a rescaled intertwiner is unitary
 TOL_CHECK = 1e-6     # table, character and residual comparisons
 
@@ -22,7 +21,6 @@ TOLERANCES = {
     "gap": TOL_GAP,
     "defect": TOL_DEFECT,
     "unit": TOL_UNIT,
-    "cocycle": TOL_COCYCLE,
     "unitary": TOL_UNITARY,
     "check": TOL_CHECK,
 }

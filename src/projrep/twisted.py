@@ -2,7 +2,8 @@
 twist, c-regular classes, center, and the Wedderburn block degrees.
 
 Unit-modulus cocycle values make every regular matrix unitary and the
-algebra star-closed, so all spectral work happens on Hermitian matrices.
+algebra star-closed, so all spectral work happens on Hermitian matrices;
+c-regularity is decided exactly, on the algebra's exponent table.
 ``alpha_tilde`` is the one place a conjugation twist is formed, for this
 module and for the Clifford steps of reps.py.  Algebras are immutable;
 ``wedderburn`` is a pure function of (A, seed).
@@ -15,45 +16,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import Cocycle
-from .errors import CrossCheckMismatch, DegreeNotIntegral, NumericDegeneracy
+from .cohomology import Cocycle, mu_n_exponents
+from .errors import (
+    CocycleMismatch,
+    CrossCheckMismatch,
+    DegreeNotIntegral,
+    NumericDegeneracy,
+)
 from .groups import FiniteGroup, conjugacy_classes
-from .tolerances import TOL_CHECK, TOL_COCYCLE, TOL_DEFECT, TOL_GAP, TOL_UNIT
+from .tolerances import TOL_DEFECT, TOL_GAP, TOL_UNIT
 
 WEDDERBURN_RETRIES = 5
 
 
 class TwistedAlgebra:
-    """C^c G on the basis {g sigma} with g sigma * h sigma = a(g,h) gh sigma."""
+    """C^c G on the basis {g sigma} with g sigma * h sigma = a(g,h) gh sigma.
 
-    def __init__(self, group: FiniteGroup, table: np.ndarray,
-                 check: bool = True):
-        self.group = group
-        tab = np.ascontiguousarray(np.asarray(table, dtype=np.complex128))
+    ``exponents`` mod ``modulus`` is the cocycle's own exact table, or the
+    mu_n table of the same class that ``mu_n_exponents`` rounds a complex
+    table to."""
+
+    def __init__(self, group: FiniteGroup, table: np.ndarray):
+        tab = np.asarray(table, dtype=np.complex128)
         if tab.shape != (group.order, group.order):
-            raise ValueError("cocycle table shape mismatch")
-        self.table = tab
-        self._cache: dict = {}
-        if check:
-            self._validate()
-        self.table.setflags(write=False)
+            raise CocycleMismatch("cocycle table shape mismatch")
+        if max(np.max(np.abs(tab[0] - 1.0)),
+               np.max(np.abs(tab[:, 0] - 1.0))) > TOL_UNIT:
+            raise CocycleMismatch("cocycle is not normalized")
+        self._hold(group, tab, mu_n_exponents(group, tab)[0], group.order)
 
     @classmethod
     def from_cocycle(cls, c: Cocycle) -> "TwistedAlgebra":
-        return cls(c.group, c.unit_table(), check=False)
+        A = cls.__new__(cls)
+        A._hold(c.group, c.unit_table(), c.table, c.modulus)
+        return A
 
-    def _validate(self) -> None:
-        n = self.group.order
-        if np.max(np.abs(np.abs(self.table) - 1.0)) > TOL_UNIT:
-            raise ValueError("cocycle values must have unit modulus")
-        if np.max(np.abs(self.table[0] - 1.0)) > TOL_UNIT or \
-                np.max(np.abs(self.table[:, 0] - 1.0)) > TOL_UNIT:
-            raise ValueError("cocycle is not normalized")
-        mul = self.group.mul
-        lhs = self.table[:, :, None] * self.table[mul, :]
-        rhs = self.table[None, :, :] * self.table[:, mul]
-        if np.max(np.abs(lhs - rhs)) > TOL_COCYCLE * n:
-            raise ValueError("multiplicative cocycle identity fails")
+    def _hold(self, group: FiniteGroup, table: np.ndarray,
+              exponents: np.ndarray, modulus: int) -> None:
+        self.group, self.exponents, self.modulus = group, exponents, modulus
+        self.table = np.ascontiguousarray(table)
+        self.table.setflags(write=False)
+        self._cache: dict = {}
 
     @property
     def order(self) -> int:
@@ -141,30 +144,27 @@ class RegularClassData:
 
 
 def c_regular_classes(A: TwistedAlgebra) -> RegularClassData:
-    """Flag each class by its averaged twisted class sum being nonzero.
-
-    Cross-checked against the centralizer criterion (twist 1 on all of
-    C_G(x)); disagreement means the algebra data is inconsistent.
-    """
+    """Flag each class x exactly: a(x, g) = a(g, x) mod the modulus for
+    every g in C_G(x).  The averaged twisted class sum being nonzero is the
+    cross-check; disagreement means the algebra data is inconsistent."""
     if "c_regular" in A._cache:
         return A._cache["c_regular"]
     G = A.group
+    t = A.exponents
     g = np.arange(G.order)
     records = []
     for cls in conjugacy_classes(G):
         x = cls.representative
         xg = G.mul[G.mul[G.inv[g], x], g]
-        tw = alpha_tilde(A, x, g)
         vec = np.zeros(G.order, dtype=np.complex128)
-        np.add.at(vec, xg, tw)
+        np.add.at(vec, xg, alpha_tilde(A, x, g))
         vec /= cls.centralizer_order
-        nonzero = bool(np.max(np.abs(vec)) > TOL_UNIT)
         cent = np.nonzero(G.mul[:, x] == G.mul[x, :])[0]
-        by_centralizer = bool(np.max(np.abs(tw[cent] - 1.0)) < TOL_CHECK)
-        if nonzero != by_centralizer:
+        regular = not np.any((t[x, cent] - t[cent, x]) % A.modulus)
+        if regular != bool(np.max(np.abs(vec)) > TOL_UNIT):
             raise CrossCheckMismatch(
                 f"class-sum and centralizer criteria disagree at x={x}")
-        records.append(RegularClassRecord(representative=x, c_regular=nonzero,
+        records.append(RegularClassRecord(representative=x, c_regular=regular,
                                           class_sum=vec))
     data = RegularClassData(records=records)
     if not data.records[0].c_regular:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import (
-    DEFAULT_H2_CAP,
     Cocycle,
     Coclass,
     class_order,
@@ -55,7 +54,8 @@ from .reps import (
     split_regular,
     tensor_reps,
 )
-from .twisted import TOL_CHECK, TwistedAlgebra, c_regular_classes, wedderburn
+from .tolerances import DEFAULT_H2_CAP, TOL_CHECK
+from .twisted import TwistedAlgebra, c_regular_classes, wedderburn
 
 
 class CoclassContext:
@@ -223,7 +223,7 @@ def verify_clifford_laws(ctx: CoclassContext, N: Subgroup,
     J = inertia_group(V, N, A)
     ext = clifford_extend(V, N, J, A)
     quot_group = ext.quotient.group
-    b_alg = TwistedAlgebra(quot_group, ext.b_table, check=False)
+    b_alg = TwistedAlgebra(quot_group, ext.b_table)
     w_degrees = wedderburn(b_alg, seed=ctx.seed).degrees
     index = G.order // J.order
     over_V = [X for X in ctx.irreps
@@ -491,7 +491,7 @@ def decompose_along_series(V: ProjRep, terms: list[Subgroup],
             W = _trivial_rep(Jg)
             btab = W.table
             continue
-        A_cur = TwistedAlgebra(Jg, btab, check=False)
+        A_cur = TwistedAlgebra(Jg, btab)
         resW = restrict_rep(W, M)
         cons = decompose(resW, seed=ctx.seed)
         Vi = cons[0].rep  # lowest (degree, character) constituent

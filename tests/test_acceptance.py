@@ -300,8 +300,8 @@ def test_criterion_09_induction_laws():
             induced = {}
             for H in subgroups:
                 U = split_regular(TwistedAlgebra(
-                    H.as_group(), A.table[np.ix_(H.elements, H.elements)],
-                    check=False), seed=ctx.seed)[-1]
+                    H.as_group(), A.table[np.ix_(H.elements, H.elements)]),
+                    seed=ctx.seed)[-1]
                 induced[H] = (U, induce_rep(U, H, A))
             V_G = ctx.irreps[-1]
             for H in subgroups:
@@ -314,8 +314,7 @@ def test_criterion_09_induction_laws():
                     if not K.mask()[H.elements].all():
                         continue
                     A_K = TwistedAlgebra(
-                        K.as_group(), A.table[np.ix_(K.elements, K.elements)],
-                        check=False)
+                        K.as_group(), A.table[np.ix_(K.elements, K.elements)])
                     H_in_K = Subgroup(K.as_group(), K.positions()[H.elements])
                     step = induce_rep(_rebase(U, H_in_K), H_in_K, A_K)
                     two_step = induce_rep(step, K, A)
@@ -326,8 +325,7 @@ def test_criterion_09_induction_laws():
                 # projection formula: V (x) ind U = ind(res V (x) U)
                 lhs = tensor_reps(V_G, indU)
                 rhs = induce_rep(tensor_reps(restrict_rep(V_G, H), U), H,
-                                 TwistedAlgebra(G, A.table * V_G.table,
-                                                check=False))
+                                 TwistedAlgebra(G, A.table * V_G.table))
                 if np.max(np.abs(_traces(lhs) - _traces(rhs))) > 1e-6:
                     failures.append(("projection", gname, ctx.label, H.order))
                 checked += 1
@@ -337,8 +335,7 @@ def test_criterion_09_induction_laws():
                     rhs_chi = np.zeros_like(lhs_chi)
                     Lg = L.as_group()
                     A_L = TwistedAlgebra(
-                        Lg, A.table[np.ix_(L.elements, L.elements)],
-                        check=False)
+                        Lg, A.table[np.ix_(L.elements, L.elements)])
                     for t in _double_transversal(G, H, L):
                         Ut, Ht = transport_rep(U, H, t, A)
                         inter = np.array(sorted(
@@ -375,7 +372,7 @@ def test_criterion_10_coboundary_invariance():
                 phases[0] = 1.0
                 tab = base.table * phases[:, None] * phases[None, :] \
                     / phases[G.mul]
-                B = TwistedAlgebra(G, tab, check=False)
+                B = TwistedAlgebra(G, tab)
                 assert wedderburn(B, seed=ctx.seed).degrees == base_degrees
                 assert c_regular_classes(B).flags == base_flags
                 checked += 1

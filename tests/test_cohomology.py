@@ -22,7 +22,6 @@ from projrep.cohomology import (
     class_order,
     cocycle_from_extension,
     inflate_coclass,
-    is_cocycle,
     is_trivial_coclass,
     kernel_mod_prime_power,
     pi_part,
@@ -51,6 +50,7 @@ from projrep.groups import (
     quotient_group,
     sylow_subgroup,
 )
+from projrep.tolerances import DEFAULT_H2_CAP
 from projrep.twisted import TwistedAlgebra, wedderburn
 
 from conftest import center_subgroup, cyclic_gens, dihedral_gens, direct_gens
@@ -149,7 +149,7 @@ def _smith_mod_prime_power_reference(P, p, k, rows):
 
 
 def test_trivial_cocycle_is_cocycle(v4):
-    assert is_cocycle(trivial_cocycle(v4))
+    assert trivial_cocycle(v4).is_cocycle()
 
 
 def test_random_coboundaries_are_cocycles(v4, s3g):
@@ -158,7 +158,7 @@ def test_random_coboundaries_are_cocycles(v4, s3g):
         for _ in range(10):
             m = int(rng.integers(2, 7))
             vals = np.concatenate([[0], rng.integers(0, m, size=G.order - 1)])
-            assert is_cocycle(Cochain1(G, m, vals).coboundary())
+            assert Cochain1(G, m, vals).coboundary().is_cocycle()
 
 
 def test_perturbed_table_fails(v4):
@@ -745,7 +745,7 @@ def test_lift_overflow_is_raised_not_wrapped(monkeypatch):
 
 
 def _is_cocycle_reference(c):
-    """The (n, n, n) check that the row-wise one replaced."""
+    """The identity on all triples, as one (n, n, n) check."""
     t, mul, m = c.table, c.group.mul, c.modulus
     lhs = t[:, :, None] + t[mul, :]
     rhs = t[None, :, :] + t[:, mul]
@@ -753,16 +753,47 @@ def _is_cocycle_reference(c):
 
 
 def test_is_cocycle_fails_on_a_single_bad_row(s4g):
+    # the identity's row and column (index 0) too: only Cocycle(check=False)
+    # holds such a table
     base = schur_multiplier(s4g).coclass([1]).representative
     n, m = s4g.order, base.modulus
     assert base.is_cocycle()
-    for x in range(1, n):
-        for y in (1, n - 1):
-            table = base.table.copy()
-            table[x, y] = (table[x, y] + 1) % m
-            c = Cocycle(s4g, m, table, check=False)
-            assert not c.is_cocycle()
-            assert not _is_cocycle_reference(c)
+    for x in range(n):
+        for y in (0, 1, n - 1):
+            for i, j in ((x, y), (y, x)):
+                table = base.table.copy()
+                table[i, j] = (table[i, j] + 1) % m
+                c = Cocycle(s4g, m, table, check=False)
+                assert not c.is_cocycle()
+                assert not _is_cocycle_reference(c)
+
+
+def test_generator_triples_decide_the_identity_on_the_catalog():
+    # is_cocycle reads only the triples (x, y, g), g a generator; on every
+    # catalog group up to the multiplier cap it agrees with all triples, on
+    # a cocycle shifted by a non-normalized coboundary and on that table
+    # with one entry off, in the identity's row and column and beyond
+    from projrep.catalog import catalog, get_group
+    rng = np.random.default_rng(5)
+    tables = 0
+    for name in [e.name for e in catalog() if e.order <= DEFAULT_H2_CAP]:
+        G = get_group(name)
+        n = G.order
+        basis = schur_multiplier(G).basis
+        base = basis[-1] if basis else trivial_cocycle(G, 2 * n)
+        m = base.modulus
+        ell = rng.integers(0, m, size=n)
+        shifted = (base.table + ell[:, None] + ell[None, :] - ell[G.mul]) % m
+        c = Cocycle(G, m, shifted, check=False)
+        assert c.is_cocycle() and _is_cocycle_reference(c), name
+        for x in range(n):
+            for i, j in {(x, 0), (0, x), (x, n - 1)}:
+                table = shifted.copy()
+                table[i, j] = (table[i, j] + 1) % m
+                c = Cocycle(G, m, table, check=False)
+                assert c.is_cocycle() == _is_cocycle_reference(c), (name, i, j)
+                tables += 1
+    assert tables == 2760
 
 
 def test_catalog_multipliers_are_pinned():

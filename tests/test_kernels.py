@@ -178,8 +178,7 @@ def _extension_reference(r, N, J, A):
     jtab = A.table[np.ix_(J.elements, J.elements)]
     n_in_j = Subgroup(Jg, J.positions()[N.elements])
     quot = quotient_group(Jg, n_in_j)
-    T = reps._coset_intertwiners(r, n_in_j, quot,
-                                 TwistedAlgebra(Jg, jtab, check=False))
+    T = reps._coset_intertwiners(r, n_in_j, quot, TwistedAlgebra(Jg, jtab))
     transversal = [int(t) for t in quot.section]
     npos = n_in_j.positions()
     d = r.degree

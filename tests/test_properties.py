@@ -195,13 +195,12 @@ def test_induction_bijection(gname, coclass_index):
                            for p in reversed(prime_divisors(G.order)))
              if 1 < op.order < G.order)
     res_alg = TwistedAlgebra(N.as_group(),
-                             A.table[np.ix_(N.elements, N.elements)],
-                             check=False)
+                             A.table[np.ix_(N.elements, N.elements)])
     V = split_regular(res_alg, seed=ctx.seed)[-1]
     from projrep.reps import inertia_group
     J = inertia_group(V, N, A)
     AJ = TwistedAlgebra(J.as_group(),
-                        A.table[np.ix_(J.elements, J.elements)], check=False)
+                        A.table[np.ix_(J.elements, J.elements)])
     n_in_j = Subgroup(J.as_group(), J.positions()[N.elements])
     fiber_J = [X for X in split_regular(AJ, seed=ctx.seed)
                if intertwiner_space(V, restrict_rep(X, n_in_j))[0] > 0]
@@ -229,8 +228,7 @@ def test_mackey_constituent_multisets():
     H = sylow_subgroup(G, 2)
     L = sylow_subgroup(G, 3)
     U = split_regular(TwistedAlgebra(
-        H.as_group(), A.table[np.ix_(H.elements, H.elements)], check=False),
-        seed=0)[-1]
+        H.as_group(), A.table[np.ix_(H.elements, H.elements)]), seed=0)[-1]
     indU = induce_rep(U, H, A)
 
     def key(rep):
@@ -251,8 +249,7 @@ def test_mackey_constituent_multisets():
         block = G.mul[np.ix_(G.mul[H.elements, g].reshape(-1), L.elements)]
         assigned[np.unique(block)] = True
     Lg = L.as_group()
-    A_L = TwistedAlgebra(Lg, A.table[np.ix_(L.elements, L.elements)],
-                         check=False)
+    A_L = TwistedAlgebra(Lg, A.table[np.ix_(L.elements, L.elements)])
     for t in reps_t:
         Ut, Ht = transport_rep(U, H, t, A)
         inter = np.array(sorted(set(Ht.elements.tolist())

@@ -309,8 +309,7 @@ def test_clifford_extend_twisted(a4g):
     assert np.max(np.abs(ext.delta[:, nel] - 1)) < 1e-6
     # every irreducible over the restricted coclass factors through it
     Jg = J.as_group()
-    AJ = TwistedAlgebra(Jg, A.table[np.ix_(J.elements, J.elements)],
-                        check=False)
+    AJ = TwistedAlgebra(Jg, A.table[np.ix_(J.elements, J.elements)])
     for X in split_regular(AJ, seed=0):
         W = factor_over_extension(X, ext)
         assert W.degree == 1

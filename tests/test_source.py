@@ -271,3 +271,51 @@ def test_workbench_imports_every_layer():
     # and the benchmark's tracer patches them after importing it
     layers = {f"projrep.{m}" for m in COMPUTE_LAYERS + ("catalog",)}
     assert layers <= _import_closure("workbench")
+
+
+def test_tolerance_names_imported_only_from_tolerances():
+    # every threshold, default and name list is read from the module that
+    # defines it, never through a layer that happens to import it
+    tree = ast.parse((PACKAGE / "tolerances.py").read_text())
+    defined = {t.id for stmt in tree.body if isinstance(stmt, ast.Assign)
+               for t in stmt.targets if isinstance(t, ast.Name)}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}:{a.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module != "tolerances"
+                  for a in node.names if a.name in defined]
+    assert found == []
+
+
+def test_one_cocycle_identity_test():
+    # one exact congruence on generator triples checks the cocycle identity,
+    # for Cocycle.is_cocycle and for mu_n_exponents, the one rounding of a
+    # complex table; the algebra's complex check and its tolerance are gone,
+    # and c-regularity reads no TOL_CHECK
+    path = PACKAGE / "cohomology.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {f.name: f for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef)}
+    callers = sorted(name for name, f in functions.items()
+                     for node in ast.walk(f)
+                     if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None)
+                     == "_satisfies_cocycle_identity")
+    assert callers == ["is_cocycle", "mu_n_exponents"]
+    assert "is_cocycle" not in {f.name for f in tree.body
+                                if isinstance(f, ast.FunctionDef)}
+    twisted = (PACKAGE / "twisted.py").read_text()
+    algebra = next(c for c in ast.walk(ast.parse(twisted))
+                   if isinstance(c, ast.ClassDef)
+                   and c.name == "TwistedAlgebra")
+    methods = {f.name: f for f in algebra.body
+               if isinstance(f, ast.FunctionDef)}
+    assert "_validate" not in methods
+    assert [a.arg for a in methods["__init__"].args.args] == \
+        ["self", "group", "table"]
+    assert "TOL_CHECK" not in twisted
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "TOL_COCYCLE" in path.read_text()] == []

@@ -175,7 +175,7 @@ def test_verdict_is_invariant_under_coboundaries(name, data):
 
 def test_no_decision_builds_an_algebra(monkeypatch):
     # triviality and order are integer decisions: no algebra is built, so
-    # neither TwistedAlgebra._validate nor wedderburn runs
+    # neither the algebra's rounding nor wedderburn runs
     def refuse(*args, **kwargs):
         raise AssertionError("a twisted algebra was built")
 

@@ -5,7 +5,9 @@ import pytest
 
 from projrep.cohomology import cocycle_from_extension, schur_multiplier, \
     trivial_cocycle
+from projrep.errors import CocycleMismatch
 from projrep.groups import conjugacy_classes
+from projrep.tolerances import DEFAULT_H2_CAP
 from projrep.twisted import (
     TwistedAlgebra,
     alpha_tilde,
@@ -150,6 +152,50 @@ def test_coboundary_invariance(v4_twisted, q8g):
         B = TwistedAlgebra(G, tab)
         assert wedderburn(B, seed=0).degrees == base.degrees
         assert c_regular_classes(B).flags == flags
+
+
+def _c_regular_reference(G, table, modulus):
+    """x is c-regular iff a(x, g) = a(g, x) mod m for every g commuting
+    with x, one g at a time."""
+    return [all((int(table[x, g]) - int(table[g, x])) % modulus == 0
+                for g in range(G.order) if G.mul[x, g] == G.mul[g, x])
+            for x in (c.representative for c in conjugacy_classes(G))]
+
+
+def test_c_regular_flags_are_exact_on_every_coclass():
+    from projrep.catalog import catalog, coclass_contexts
+    contexts = [ctx for e in catalog() if e.order <= DEFAULT_H2_CAP
+                for ctx in coclass_contexts(e.name)]
+    assert len(contexts) == 116
+    for ctx in contexts:
+        c = ctx.cocycle
+        assert c_regular_classes(ctx.algebra).flags == \
+            _c_regular_reference(ctx.group, c.table, c.modulus), \
+            (ctx.group.name, ctx.label)
+
+
+def test_complex_tables_round_once_or_are_refused(s4g):
+    # a complex table is held with the exact mu_n exponents of its class.
+    # Refused: one entry rotated by 1e-6 turns, one off the unit circle, a
+    # row of the identity moved, and two entries of a row moved by opposite
+    # 24th roots, which keeps the row sum: its mu_n form is exact and fails
+    # the identity
+    mult = schur_multiplier(s4g)
+    c = mult.coclass([1]).representative
+    A = TwistedAlgebra(s4g, c.unit_table())
+    assert A.modulus == s4g.order
+    assert mult.resolve(A.exponents, A.modulus) == (1,)
+    w = np.exp(2j * np.pi / 24)
+    faults = [([(5, 7, np.exp(2j * np.pi * 1e-6))], "from a mu_24 cocycle"),
+              ([(5, 7, 1 + 1e-6)], "off the unit circle"),
+              ([(0, 7, -1.0)], "not normalized"),
+              ([(5, 7, w), (5, 8, 1 / w)], "violates the cocycle identity")]
+    for changes, reason in faults:
+        tab = c.unit_table()
+        for x, y, factor in changes:
+            tab[x, y] *= factor
+        with pytest.raises(CocycleMismatch, match=reason):
+            TwistedAlgebra(s4g, tab)
 
 
 def test_star_antiautomorphism(v4_twisted):

@@ -318,9 +318,8 @@ def test_commands_that_compute_nothing_load_no_layer(tmp_path):
 EXPORTS = {
     "cohomology": [
         "Cochain1", "Coclass", "Cocycle", "SchurMultiplier",
-        "cocycle_from_extension", "inflate_coclass", "is_cocycle",
-        "is_trivial_coclass", "pi_part", "restrict_coclass",
-        "schur_multiplier", "trivial_cocycle"],
+        "cocycle_from_extension", "inflate_coclass", "is_trivial_coclass",
+        "pi_part", "restrict_coclass", "schur_multiplier", "trivial_cocycle"],
     "groups": [
         "ConjClass", "FiniteGroup", "NormalSeries", "PiSet", "Quotient",
         "Subgroup", "build_group", "centralizer", "conjugacy_classes",
