@@ -15,9 +15,11 @@ relations and resolve.
 The multiplier of G is assembled prime by prime: for each p with p^2 | |G|,
 q = p^floor(v_p(|G|)/2) bounds the exponent of the p-part, whose classes
 are those of Z^2(Z/q); a combination of cocycle generators is a relation iff
-the annihilator at p kills its mu_n form on the edges.  resolve solves the
-same congruences for the exponents over the basis and certifies the answer
-with the test itself.
+the annihilator at p kills its mu_n form on the edges.  The p-part embeds in
+the multiplier of a Sylow p-subgroup (Cartan-Eilenberg, *Homological
+Algebra*, XII section 10), so p is skipped when that one is trivial.
+resolve solves the same congruences for the exponents over the basis and
+certifies the answer with the test itself.
 
 Z^2(Z/q) is solved in generator coordinates.  A normalized cocycle is fixed
 by its values a(x, g) on the generators g, since the cocycle identity reads
@@ -25,9 +27,13 @@ a(x, yg) = a(x, y) + a(xy, g) - a(y, g) along a BFS tree of the Cayley graph.
 That lift L turns the identity into a matrix FL on |gens|*(|G|-1) unknowns
 instead of (|G|-1)^2, and Z^2(Z/p^j) = L ker(FL mod p^j).  Every kernel,
 solution and cokernel is read off one Smith decomposition over Z/p^k per
-solve, so FL is decomposed once per prime.  _kernel_from_chain makes kernel
-generators canonical, so basis cocycles do not depend on how the solve went.
-All of it is exact integer arithmetic, checked against the matrices solved.
+solve, so FL is decomposed once per prime, and so is each presentation of
+a p-part, whose cokernel generators come from the same elimination.
+_kernel_from_chain makes kernel generators canonical, so basis cocycles do
+not depend on how the solve went.  All of it is exact integer arithmetic,
+checked against the matrices solved.  The lift, FL and the lifted chain
+stay in the narrowest integer type that holds their entries, eliminations
+reduce lazily, and every product and update runs over bounded row blocks.
 Everything here is immutable after construction; the solver context is
 read-only and safe to share.
 """
@@ -35,7 +41,7 @@ read-only and safe to share.
 from __future__ import annotations
 
 import hashlib
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -55,6 +61,7 @@ from .groups import (
     centralizer_of_set,
     factorize,
     quotient_group,
+    sylow_subgroup,
 )
 from .tolerances import DEFAULT_H2_CAP, TOL_UNIT
 
@@ -66,51 +73,93 @@ def _lcm(a: int, b: int) -> int:
 # -- linear algebra mod prime powers ---------------------------------------
 
 
+# bytes of a row block: large arrays are filled, updated and multiplied a
+# block of rows at a time, so no temporary grows with the whole array
+_BLOCK_BYTES = 1 << 18
+
+_INT_MIN = {np.dtype(t): int(np.iinfo(t).min)
+            for t in (np.int8, np.int16, np.int32, np.int64)}
+
+
+def _int_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer type that holds every |x| <= bound."""
+    return next(t for t, lo in _INT_MIN.items() if bound < -lo)
+
+
+def _lazy_dtype(q: int) -> np.dtype:
+    """The type of a matrix reduced lazily mod q (_eliminate): room for a
+    few updates of at most (q-1)^2 each between reductions."""
+    return _int_dtype(8 * (q - 1) ** 2)
+
+
+def _eliminate(W: np.ndarray, rows: np.ndarray, f: np.ndarray,
+               pivot: np.ndarray, q: int) -> None:
+    """W[rows, c:] -= f pivot, pivot of length W.shape[1] - c, f and pivot
+    reduced mod q.
+
+    Entries of W are at most q - 1 and only fall, by at most (q-1)^2 an
+    update, so W is reduced lazily: its readers reduce what they read, and a
+    block of rows is reduced here only when one more update could leave W's
+    type.  The rows are updated a block at a time, so the gathered rows and
+    the rank-1 product stay bounded.
+    """
+    if not rows.size:
+        return
+    c = W.shape[1] - pivot.size
+    floor = _INT_MIN[W.dtype] + (q - 1) ** 2
+    step = max(1, _BLOCK_BYTES // pivot.nbytes)
+    for i in range(0, rows.size, step):
+        r = rows[i:i + step]
+        block = W[r, c:]
+        block -= np.outer(f[i:i + step], pivot)
+        if block.min() < floor:
+            np.remainder(block, W.dtype.type(q), out=block)
+        W[r, c:] = block
+
+
 def _rref_mod_p(M: np.ndarray, p: int):
     """Reduced row echelon form over GF(p).  Returns (R, pivots).
 
-    Forward elimination keeps rows below unreduced (entries stay well inside
-    int64 since every update adds less than p^2); reductions happen only on
-    pivot rows and on the columns being inspected.
+    R is a narrow copy of M reduced lazily mod p (_eliminate), and fully at
+    the end.  Rows at and below the pivot row are zero mod p left of the
+    pivot column, and so is each pivot row left of its pivot, so updates
+    start at the pivot column.
     """
-    M = np.array(M, dtype=np.int64) % p
-    rows, cols = M.shape
+    M = np.asarray(M)
+    R = np.empty(M.shape, dtype=_lazy_dtype(p))
+    np.remainder(M, R.dtype.type(p), out=R)
+    rows, cols = R.shape
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        colv = M[r:, c] % p
-        nz = np.nonzero(colv)[0]
+        nz = np.flatnonzero(R[r:, c] % p)
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        M[r] %= p
-        piv = int(M[r, c])
+            R[[r, pr]] = R[[pr, r]]
+        R[r, c:] %= p
+        piv = int(R[r, c])
         if piv != 1:
-            M[r] = (M[r] * pow(piv, p - 2, p)) % p
-        f = M[r + 1:, c] % p
-        touch = np.nonzero(f)[0]
-        if touch.size:
-            M[r + 1 + touch] -= np.outer(f[touch], M[r])
+            R[r, c:] = R[r, c:] * R.dtype.type(pow(piv, -1, p)) % p
+        below = r + nz[1:]
+        _eliminate(R, below, R[below, c] % p, R[r, c:], p)
         pivots.append((r, c))
         r += 1
-    for i in range(len(pivots) - 1, 0, -1):
-        ri, ci = pivots[i]
-        M[ri] %= p
-        f = M[:ri, ci] % p
-        touch = np.nonzero(f)[0]
-        if touch.size:
-            M[touch] -= np.outer(f[touch], M[ri])
-    if pivots:
-        M[:len(pivots)] %= p
-    return M, pivots
+    for ri, ci in reversed(pivots[1:]):
+        R[ri, ci:] %= p
+        f = R[:ri, ci] % p
+        above = np.flatnonzero(f)
+        _eliminate(R, above, f[above], R[ri, ci:], p)
+    R %= p
+    return R, pivots
 
 
-def _kernel_from_chain(chain: list[np.ndarray], p: int) -> list[np.ndarray]:
-    """Canonical generators of ker(M mod p^k), from the kernels of M alone.
+def _kernel_from_chain(chain: list[np.ndarray], p: int) -> np.ndarray:
+    """Canonical generators, as rows, of ker(M mod p^k), from the kernels of
+    M alone, in the narrowest type that holds p^k.
 
     chain[j-1] holds generators (as rows) of ker(M mod p^j) for j = 1..k;
     the result depends only on those kernels.  Level 1 is the basis K of
@@ -122,34 +171,39 @@ def _kernel_from_chain(chain: list[np.ndarray], p: int) -> list[np.ndarray]:
     integer kernel of (x, y) -> Kx + py; that chain is canonicalized in turn.
     """
     k = len(chain)
+    cols = chain[0].shape[1]
     R, pivots = _rref_mod_p(chain[0][:, ::-1], p)
-    basis = [np.ascontiguousarray(R[r, ::-1]) for r, _ in reversed(pivots)]
-    lead = [chain[0].shape[1] - 1 - c for _, c in reversed(pivots)]
-    if k == 1 or not basis:
+    # R's pivot rows come first; reversed both ways, their leads ascend
+    basis = np.ascontiguousarray(R[:len(pivots)][::-1, ::-1])
+    lead = [cols - 1 - c for _, c in reversed(pivots)]
+    if k == 1 or not basis.shape[0]:
         return basis
-    K = np.stack(basis, axis=1)
+    K = basis.T.astype(np.int64)
     kappa = K.shape[1]
     shifts = np.concatenate([-p * np.eye(kappa, dtype=np.int64), K]).T
     sub = []
     for j in range(1, k):
-        A = chain[j]
+        A = chain[j].astype(np.int64)
         X = A[:, lead]
         lifted = np.concatenate([X, (A - X @ K.T) // p], axis=1)
         sub.append(np.concatenate([lifted, shifts]) % p**j)
     q = p**k
-    return [(K @ w[:kappa] + p * w[kappa:]) % q
-            for w in _kernel_from_chain(sub, p)]
+    w = _kernel_from_chain(sub, p).astype(np.int64)
+    return ((w[:, :kappa] @ K.T + p * w[:, kappa:]) % q).astype(
+        _int_dtype(q - 1))
 
 
-def smith_mod_prime_power(A: np.ndarray, p: int, k: int, extra=None):
+def smith_mod_prime_power(A: np.ndarray, p: int, k: int, extra=None,
+                          inverse: bool = False):
     """Smith decomposition U A V = D of A over Z/p^k, with q = p^k.
 
     Each step pivots on the first entry of minimal p-valuation, in row-major
     order, of the trailing block, scales its row to p^v and clears the column
     below it.  Returns (vals, V, X), all mod q: D_ii = p^vals[i] (ascending)
     for i < len(vals), and D is zero elsewhere; V is the column transform; X
-    is U extra, the row operations applied to a block of extra columns.  U
-    itself, rows x rows, is never formed.
+    is U extra, the row operations applied to a block of extra columns, or,
+    with ``inverse``, U^-1: the inverse of each row operation applied, as a
+    column operation, to an identity block.  U itself is never formed.
     """
     q = p**k
     A = np.asarray(A)
@@ -157,15 +211,13 @@ def smith_mod_prime_power(A: np.ndarray, p: int, k: int, extra=None):
         raise ModulusMismatch(f"matrix of shape {A.shape}")
     rows, cols = A.shape
     X = np.zeros((rows, 0), dtype=np.int8) if extra is None else np.asarray(extra)
-    # entries are reduced only where read and move by less than q^2 a step,
-    # so any integer type that holds q + rank * q^2 is exact; narrow is fast,
-    # and A and extra are reduced straight into it
-    bound = q + min(rows, cols) * q * q
-    W = np.empty((rows, cols + X.shape[1]), dtype=np.int16 if bound < 2**15
-                 else np.int32 if bound < 2**31 else np.int64)
+    # reduced lazily (_eliminate), so a narrow type is exact; A and extra
+    # are reduced straight into it
+    W = np.empty((rows, cols + X.shape[1]), dtype=_lazy_dtype(q))
     np.remainder(A, W.dtype.type(q), out=W[:, :cols])
     np.remainder(X, W.dtype.type(q), out=W[:, cols:])
     V = np.eye(cols, dtype=np.int64)
+    uinv = np.eye(rows, dtype=np.int64) if inverse else None
     vals: list[int] = []
     s = v = lo = 0
     while s < min(rows, cols) and v < k:
@@ -186,37 +238,57 @@ def smith_mod_prime_power(A: np.ndarray, p: int, k: int, extra=None):
         W[:, [s, bj]] = W[:, [bj, s]]
         V[:, [s, bj]] = V[:, [bj, s]]
         pv = p**v
-        row = W[s, s:] % q
-        W[s, s:] = row * pow(int(row[0]) // pv, -1, q) % q
+        W[s, s:] %= q
+        unit = int(W[s, s]) // pv
+        W[s, s:] = W[s, s:] * W.dtype.type(pow(unit, -1, q)) % q
         col = W[s + 1:, s] % q
         below = np.flatnonzero(col)
-        W[below + s + 1, s:] -= np.outer(col[below] // pv, W[s, s:])
+        f = col[below] // W.dtype.type(pv)
+        below += s + 1
+        _eliminate(W, below, f, W[s, s:], q)
+        if uinv is not None:
+            # undo swap, scaling and clearing, in that order, on the columns
+            uinv[:, [s, bi]] = uinv[:, [bi, s]]
+            uinv[:, s] = (uinv[:, s] * unit
+                          + uinv[:, below] @ f.astype(np.int64)) % q
         V[:, s + 1:] = (V[:, s + 1:]
                         - np.outer(V[:, s], W[s, s + 1:cols] // pv)) % q
         vals.append(v)
         s, lo = s + 1, bi + 1
-    return vals, V, (W[:, cols:] % q).astype(np.int64)
+    return vals, V, uinv if inverse else (W[:, cols:] % q).astype(np.int64)
 
 
-# float64 entries per row block of _matmul_mod's left factor
-_MATMUL_BLOCK = 1 << 18
+def _matmul_mod_blocks(X: np.ndarray, Y: np.ndarray, q: int):
+    """Yield (first row, block) over the row blocks of X @ Y mod q.
 
-
-def _matmul_mod(X: np.ndarray, Y: np.ndarray, q: int) -> np.ndarray:
-    """X @ Y mod q, in float64 on entries reduced mod q: exact while
-    X.shape[1] * q^2 < 2^53, far above the sizes and moduli used here.
-    X is taken in row blocks, so its float copy stays bounded."""
-    rows, inner = X.shape
+    Entries are reduced into [0, q) and multiplied in float64, so each entry
+    of a block is a sum of X.shape[-1] products below (q-1)^2: exact while
+    that sum stays within 2^53, and ModulusMismatch is raised before any
+    work when it could not.  A 3-d X stands for the matrix whose rows are
+    X[i, j]; it is taken a block of i at a time, so its float copy stays
+    within about _BLOCK_BYTES.
+    """
+    inner = X.shape[-1]
+    if inner * (q - 1) ** 2 > 2**53:
+        raise ModulusMismatch(f"{inner} products mod {q} leave the float64 "
+                              "integer range")
+    per = prod(X.shape[1:-1])
     # reduce in X's own integer type where q fits it: narrow is fast
     wide = np.int64 if q > np.iinfo(X.dtype).max else X.dtype
     Yf = (np.asarray(Y, dtype=np.int64) % q).astype(np.float64)
-    out = np.empty((rows, Y.shape[1]), dtype=np.int64)
-    step = max(1, _MATMUL_BLOCK // max(inner, 1))
-    for i in range(0, rows, step):
-        block = out[i:i + step]
-        block[...] = np.remainder(X[i:i + step], q, dtype=wide).astype(
-            np.float64) @ Yf
-        block %= q
+    step = max(1, _BLOCK_BYTES // (8 * max(per * inner, 1)))
+    for i in range(0, X.shape[0], step):
+        block = X[i:i + step]
+        B = np.remainder(block, q, dtype=wide).astype(np.float64).reshape(
+            block.shape[0] * per, inner) @ Yf
+        yield i * per, np.remainder(B, q, out=B)
+
+
+def _matmul_mod(X: np.ndarray, Y: np.ndarray, q: int) -> np.ndarray:
+    """X @ Y mod q as int64, exactly (see _matmul_mod_blocks)."""
+    out = np.empty((X.shape[0], Y.shape[1]), dtype=np.int64)
+    for r, B in _matmul_mod_blocks(X, Y, q):
+        out[r:r + B.shape[0]] = B
     return out
 
 
@@ -225,13 +297,14 @@ def _kernel_chain(M: np.ndarray, p: int, k: int) -> list[np.ndarray]:
 
     With U M V = D, ker(M mod p^j) is generated by the V_i p^max(0, j - v_i),
     v_i the valuation of D_ii (k past the rank); those with v_i = 0 vanish.
-    Every level needs M V_i = 0 mod p^v_i, so checking level k checks all.
+    Every level needs M V_i = 0 mod p^v_i, so checking level k checks all;
+    the check reads M V a row block at a time.
     """
     q = p**k
     vals, V, _ = smith_mod_prime_power(M, p, k)
     v = np.array(vals + [k] * (V.shape[1] - len(vals)), dtype=np.int64)
     K, v = V[:, v > 0], v[v > 0]
-    if np.any(_matmul_mod(M, K * p ** (k - v), q)):
+    if any(np.any(B) for _, B in _matmul_mod_blocks(M, K * p ** (k - v), q)):
         raise CrossCheckMismatch(f"a kernel generator fails M w = 0 mod {q}")
     return [np.ascontiguousarray((K * p ** np.maximum(0, j - v)).T % p**j)
             for j in range(1, k + 1)]
@@ -239,7 +312,7 @@ def _kernel_chain(M: np.ndarray, p: int, k: int) -> list[np.ndarray]:
 
 def kernel_mod_prime_power(M: np.ndarray, p: int, k: int) -> list[np.ndarray]:
     """Canonical generators of {v : M v = 0 mod p^k} in (Z/p^k)^cols."""
-    return _kernel_from_chain(_kernel_chain(M, p, k), p)
+    return list(_kernel_from_chain(_kernel_chain(M, p, k), p).astype(np.int64))
 
 
 def solve_mod_prime_power(M: np.ndarray, t: np.ndarray, p: int, k: int):
@@ -268,13 +341,11 @@ def _cokernel(P: np.ndarray, p: int, k: int):
     """(invariants, uinv) of coker P = (Z/p^k)^rows / colspan(P), ascending.
 
     With U P V = D the cokernel is the sum of the Z/D_ii (Z/p^k past the
-    rank), and the generator of the i-th factor is column i of uinv = U^-1.
+    rank), and the generator of the i-th factor is column i of uinv = U^-1,
+    which the one decomposition of P returns.
     """
-    rows = P.shape[0]
-    eye = np.eye(rows, dtype=np.int64)
-    vals, _, U = smith_mod_prime_power(P, p, k, eye)
-    return ([p**v for v in vals] + [p**k] * (rows - len(vals)),
-            solve_mod_prime_power(U, eye, p, k))
+    vals, _, uinv = smith_mod_prime_power(P, p, k, inverse=True)
+    return [p**v for v in vals] + [p**k] * (P.shape[0] - len(vals)), uinv
 
 
 # -- cochains and cocycles --------------------------------------------------
@@ -428,13 +499,15 @@ def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     The coordinates u(x, g) are the values a(x, g) for nonidentity x and the
     distinct nonidentity generators g.  The cocycle identity F(x, y, g) = 0
     reads a(x, yg) = a(x, y) + a(xy, g) - a(y, g), so walking a BFS tree of
-    the right Cayley graph writes every value as a(x, z) = L[(x, z)] @ u;
+    the right Cayley graph writes every value as a(x, z) = L[x-1, z-1] @ u;
     a = L u is a cocycle mod q iff (F L) u = 0 mod q, hence
-    Z^2(Z/q) = L ker(FL mod q) for every q.  L has one row per flattened
-    table entry; FL has the rows F(x, y, g) for all nonidentity x, y and
-    generators g, which suffice (F of a longer word z*g is an integer
-    combination of F(., ., z) and F(., ., g) rows).  FL is built by
-    indexing rows of L, so F itself is never formed.
+    Z^2(Z/q) = L ker(FL mod q) for every q.  L holds one row per table
+    entry, as an (|G|-1, |G|-1, |u|) view; FL holds the distinct nonzero
+    rows F(x, y, g) over all nonidentity x, y and generators g, which
+    suffice (F of a longer word z*g is an integer combination of
+    F(., ., z) and F(., ., g) rows): dropping zero and repeated rows keeps
+    the row space, hence every kernel.  FL is filled from rows of L into one
+    array, a block of x at a time, so F itself is never formed.
 
     Both are int8.  While every entry of L stays within _LIFT_BOUND, the
     three-term steps and the four-term rows of FL cannot leave the int8
@@ -454,39 +527,76 @@ def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
             raise LiftOverflow(f"a lift entry of {G.name} exceeds "
                                f"{_LIFT_BOUND} in absolute value")
         lift[:, z] = col
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    xf, yf = X.reshape(-1), Y.reshape(-1)
-    xy = G.mul[xf, yf]
-    FL = np.concatenate([lift[xf, yf] + lift[xy, g] - lift[yf, g]
-                         - lift[xf, G.mul[yf, g]] for g in gens])
-    return lift[xf, yf], FL
+    return lift[1:, 1:], _distinct_nonzero_rows(_identity_rows(G, lift))
+
+
+def _identity_rows(G: FiniteGroup, lift: np.ndarray) -> np.ndarray:
+    """Row (b m + x - 1) m + y - 1, m = |G| - 1, holds F(x, y, gens[b]) L.
+
+    The rows are filled into one int8 array, a block of x at a time, so the
+    gathered rows of the lift stay bounded.
+    """
+    n = G.order
+    m = n - 1
+    ys = np.arange(1, n)
+    gens = _generators(G)
+    FL = np.empty((len(gens) * m * m, lift.shape[2]), dtype=np.int8)
+    step = max(1, _BLOCK_BYTES // lift[0].nbytes)
+    for b, g in enumerate(gens):
+        for x0 in range(1, n, step):
+            x = np.arange(x0, min(x0 + step, n))[:, None]
+            out = FL[(b * m + x0 - 1) * m:(b * m + x0 - 1 + x.size) * m]
+            out = out.reshape(x.size, m, -1)
+            np.subtract(lift[x0:x0 + x.size, 1:], lift[1:, g], out=out)
+            out += lift[G.mul[x, ys], g]
+            out -= lift[x, G.mul[ys, g]]
+    return FL
 
 
 def _distinct_nonzero_rows(M: np.ndarray) -> np.ndarray:
-    """The first copy of each distinct nonzero row of M, in order.
+    """The first copy of each distinct nonzero row of M, in order, in place.
 
-    Each row is viewed as one opaque np.void key, so np.unique compares
-    whole rows at once and returns the first index of each (asked for
-    indices, it also skips its numpy.ma import).
+    M must own its data: those rows are moved to its top and M is shrunk to
+    them.  Each row is viewed as one opaque np.void key, and a stable
+    argsort sets equal rows side by side with their first copy leading, so
+    neither a sorted copy of M nor a second one of its rows is made.
     """
-    M = np.ascontiguousarray(M[np.any(M, axis=1)])
-    keys = M.view(np.dtype((np.void, M.itemsize * M.shape[1])))[:, 0]
-    first = np.unique(keys, return_index=True)[1]
-    return M[np.sort(first)]
+    rows, cols = M.shape
+    keys = M.view(np.dtype((np.void, M.itemsize * cols)))[:, 0]
+    order = np.argsort(keys, kind="stable")
+    first = M.any(axis=1)[order]
+    step = max(1, _BLOCK_BYTES // keys.itemsize)
+    for i in range(1, rows, step):
+        j = min(i + step, rows)
+        first[i:j] &= keys[order[i:j]] != keys[order[i - 1:j - 1]]
+    del keys
+    order = np.sort(order[first])
+    for i in range(0, order.size, step):
+        j = min(i + step, order.size)
+        M[i:j] = M[order[i:j]]
+    M.resize((order.size, cols), refcheck=False)
+    return M
 
 
 def _cocycle_generators(L: np.ndarray, FL: np.ndarray, p: int,
-                        k: int) -> list[np.ndarray]:
-    """Generators of Z^2(G, Z/p^k) as flat tables, from _generator_lift.
+                        k: int) -> np.ndarray:
+    """Generators of Z^2(G, Z/p^k) as the rows of an array of flat tables,
+    in the narrowest type that holds p^k, from _generator_lift.
 
     FL is decomposed once; Z^2(Z/p^j) = L ker(FL mod p^j) at every level j,
     and _kernel_from_chain makes the generators canonical, so they do not
-    depend on the coordinates the solve used.  Zero and repeated rows of FL
-    are dropped first: the row space, hence every kernel, stays the same.
+    depend on the coordinates the solve used.  Each level of the chain is
+    written straight into one narrow (generators x cells) array, a block of
+    L at a time.
     """
-    chain = _kernel_chain(_distinct_nonzero_rows(FL), p, k)
-    return _kernel_from_chain([np.ascontiguousarray(_matmul_mod(L, u.T, p**j).T)
-                               for j, u in enumerate(chain, 1)], p)
+    m = L.shape[0]
+    lifted = []
+    for j, u in enumerate(_kernel_chain(FL, p, k), 1):
+        Z = np.empty((u.shape[0], m * m), dtype=_int_dtype(p**j - 1))
+        for r, B in _matmul_mod_blocks(L, u.T, p**j):
+            Z[:, r:r + B.shape[0]] = B.T
+        lifted.append(Z)
+    return _kernel_from_chain(lifted, p)
 
 
 class SchurMultiplier:
@@ -603,25 +713,38 @@ def _crt(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (m, x % m)
 
 
+def _sylow_multiplier_is_trivial(G: FiniteGroup, p: int, cap: int) -> bool:
+    """True iff a Sylow p-subgroup P < G has a trivial multiplier.
+
+    M(G)_p embeds in M(P) (Cartan-Eilenberg, *Homological Algebra*, XII
+    section 10), so then p adds nothing to M(G).  P is its own Sylow
+    p-subgroup, so its multiplier is solved directly.
+    """
+    P = sylow_subgroup(G, p)
+    return P.order < G.order and schur_multiplier(P.as_group(), cap).order == 1
+
+
 def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultiplier:
-    """The Schur multiplier of G with solver context, for |G| <= cap."""
+    """The Schur multiplier of G with solver context, for |G| <= cap.
+
+    Only primes p with p^2 | |G| are solved, and of those only the ones
+    whose Sylow multiplier is nontrivial; if none is left, no lift is built.
+    """
     if G.order > cap:
         raise GroupTooLargeForH2(f"|{G.name}| = {G.order} exceeds cap {cap}")
     if "schur" in G._cache:
         return G._cache["schur"]
     n = G.order
+    levels = {p: e // 2 for p, e in factorize(n).items()
+              if e // 2 and not _sylow_multiplier_is_trivial(G, p, cap)}
     parts: dict[int, list[tuple[int, np.ndarray]]] = {}
-    if n > 1:
+    if levels:
         L, FL = _generator_lift(G)
         # the lift is the largest array of the solve: free it before the
-        # relation kernels and Smith forms.  Z holds entries below q, kept
-        # as int8 wherever q allows.
-        by_prime = {}
-        for p, e in factorize(n).items():
-            if e // 2:
-                Z = np.array(_cocycle_generators(L, FL, p, e // 2), ndmin=2,
-                             dtype=np.int8 if p ** (e // 2) <= 2**7 else np.int64)
-                by_prime[p] = (e // 2, Z.T)
+        # relation kernels and Smith forms.  Z holds entries below q, in the
+        # narrowest type that holds them.
+        by_prime = {p: (k, _cocycle_generators(L, FL, p, k).T)
+                    for p, k in levels.items()}
         del L, FL
         for p, (k, Z) in by_prime.items():
             if not Z.size:

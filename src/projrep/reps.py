@@ -464,14 +464,14 @@ def clifford_extend(r: ProjRep, N: Subgroup, J: Subgroup,
     intertwiner from r to its t^-1-conjugate; this choice makes the
     obstruction delta exactly trivial on N in both arguments.
     """
-    Jg = J.as_group()
-    jtab = A.table[np.ix_(J.elements, J.elements)]
+    Aj = A.restrict(J)
+    Jg, jtab = Aj.group, Aj.table
     n_in_j = Subgroup(Jg, J.positions()[N.elements])
     if not np.array_equal(n_in_j.as_group().mul, r.group.mul):
         raise ValueError("restricted subgroup does not match the rep's group")
     quot = quotient_group(Jg, n_in_j)
     d = r.degree
-    T = _coset_intertwiners(r, n_in_j, quot, TwistedAlgebra(Jg, jtab))
+    T = _coset_intertwiners(r, n_in_j, quot, Aj)
     tj = quot.section[quot.projection]  # the coset representative of each j
     nn = Jg.mul[np.arange(Jg.order), Jg.inv[tj]]
     mats = np.conj(jtab[nn, tj])[:, None, None] * \

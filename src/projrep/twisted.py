@@ -23,7 +23,7 @@ from .errors import (
     DegreeNotIntegral,
     NumericDegeneracy,
 )
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup, Subgroup, conjugacy_classes
 from .tolerances import TOL_DEFECT, TOL_GAP, TOL_UNIT
 
 WEDDERBURN_RETRIES = 5
@@ -49,6 +49,17 @@ class TwistedAlgebra:
     def from_cocycle(cls, c: Cocycle) -> "TwistedAlgebra":
         A = cls.__new__(cls)
         A._hold(c.group, c.unit_table(), c.table, c.modulus)
+        return A
+
+    def restrict(self, H: Subgroup) -> "TwistedAlgebra":
+        """The algebra of H under the restricted cocycle.  The restriction
+        of an exact exponent table is exact, so it is taken as it stands,
+        with this algebra's modulus, and nothing is rounded."""
+        if H.parent is not self.group:
+            raise CocycleMismatch("subgroup of a different group")
+        el = np.ix_(H.elements, H.elements)
+        A = TwistedAlgebra.__new__(TwistedAlgebra)
+        A._hold(H.as_group(), self.table[el], self.exponents[el], self.modulus)
         return A
 
     def _hold(self, group: FiniteGroup, table: np.ndarray,

@@ -491,7 +491,8 @@ def decompose_along_series(V: ProjRep, terms: list[Subgroup],
             W = _trivial_rep(Jg)
             btab = W.table
             continue
-        A_cur = TwistedAlgebra(Jg, btab)
+        A_cur = (ctx.algebra if btab is ctx.algebra.table
+                 else TwistedAlgebra(Jg, btab))
         resW = restrict_rep(W, M)
         cons = decompose(resW, seed=ctx.seed)
         Vi = cons[0].rep  # lowest (degree, character) constituent

@@ -92,6 +92,49 @@ def _kernel_mod_prime_power_reference(M, p, k):
     return out
 
 
+def _rref_mod_p_reference(M, p):
+    """The int64 elimination that the narrow, lazily reduced one replaced.
+
+    Forward elimination keeps rows below unreduced (entries stay well inside
+    int64 since every update adds less than p^2); reductions happen only on
+    pivot rows and on the columns being inspected.
+    """
+    M = np.array(M, dtype=np.int64) % p
+    rows, cols = M.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        colv = M[r:, c] % p
+        nz = np.nonzero(colv)[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            M[[r, pr]] = M[[pr, r]]
+        M[r] %= p
+        piv = int(M[r, c])
+        if piv != 1:
+            M[r] = (M[r] * pow(piv, p - 2, p)) % p
+        f = M[r + 1:, c] % p
+        touch = np.nonzero(f)[0]
+        if touch.size:
+            M[r + 1 + touch] -= np.outer(f[touch], M[r])
+        pivots.append((r, c))
+        r += 1
+    for i in range(len(pivots) - 1, 0, -1):
+        ri, ci = pivots[i]
+        M[ri] %= p
+        f = M[:ri, ci] % p
+        touch = np.nonzero(f)[0]
+        if touch.size:
+            M[touch] -= np.outer(f[touch], M[ri])
+    if pivots:
+        M[:len(pivots)] %= p
+    return M, pivots
+
+
 def _smith_mod_prime_power_reference(P, p, k, rows):
     """Smith form of a Z/p^k module presentation (columns are relations).
 
@@ -566,8 +609,10 @@ def test_generator_lift_matches_full_constraints(name):
         new = _cocycle_generators(L, FL, p, k)
         old = _kernel_mod_prime_power_reference(reference, p, k)
         assert len(new) == len(old)
+        # the generators come in the narrowest type that holds q, int8 here
+        assert new.dtype == np.int8
         for a, b in zip(new, old):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert np.array_equal(a, b)
 
 
 def _scrambled(gens, p, j, cols, rng):
@@ -641,6 +686,8 @@ def test_cokernel_matches_smith_reference(p, k, rows, cols, data):
     D[range(len(vals)), range(len(vals))] = [p**v for v in vals]
     assert vals == sorted(vals)
     assert np.array_equal(U @ P @ V % q, D)
+    # the inverse read off the same decomposition
+    assert np.array_equal(U @ uinv % q, np.eye(rows, dtype=np.int64))
 
 
 def test_cokernel_brute_force():
@@ -713,10 +760,59 @@ def test_distinct_nonzero_rows_matches_the_dict_loop(dtype, cols, data):
     pool.append([0] * cols)
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
     M = np.array([pool[i] for i in picks], dtype=dtype).reshape(-1, cols)
-    got = _distinct_nonzero_rows(M)
+    # the rows are compacted in place, in an array that owns its data
+    got = _distinct_nonzero_rows(M.copy())
     want = _distinct_nonzero_rows_reference(M)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13]), rows=st.integers(1, 8),
+       cols=st.integers(1, 8), data=st.data())
+def test_rref_mod_p_matches_the_int64_reference(p, rows, cols, data):
+    # M = A B has rank at most r, and mostly exactly r, up to full rank;
+    # entries past p and below zero make every first read reduce
+    r = data.draw(st.integers(0, min(rows, cols)))
+    A, B = (np.array(data.draw(st.lists(st.integers(-2 * p, 2 * p),
+                                        min_size=a * b, max_size=a * b)),
+                     dtype=np.int64).reshape(a, b)
+            for a, b in ((rows, r), (r, cols)))
+    M = A @ B
+    R, pivots = _rref_mod_p(M, p)
+    want, want_pivots = _rref_mod_p_reference(M, p)
+    assert pivots == want_pivots
+    # the reference leaves rows past the rank unreduced, all 0 mod p
+    assert np.array_equal(R, want % p)
+
+
+@pytest.mark.parametrize("p, size", [(2, 150), (3, 90), (11, 40)])
+def test_rref_mod_p_reduces_before_the_narrow_type_wraps(p, size):
+    # a row takes about size / 2 updates of up to (p-1)^2: past int8 at
+    # p = 3 unless blocks are reduced on the way (int8 wraps mod 2^8, which
+    # keeps residues mod 2, so p = 2 could not show it)
+    M = np.random.default_rng(p).integers(0, p, size=(size, size + 5))
+    R, pivots = _rref_mod_p(M, p)
+    want, want_pivots = _rref_mod_p_reference(M, p)
+    assert R.dtype == (np.int8 if p < 5 else np.int16)
+    assert pivots == want_pivots and len(pivots) >= size - 2
+    assert np.array_equal(R, want % p)
+
+
+def test_matmul_mod_refuses_products_past_float64_integers():
+    # inner (q-1)^2 = 2^53 is the last exact size: every dot product of
+    # reduced entries is then an integer that float64 holds
+    q = 2**20 + 1
+    X = np.full((1, 2**13), q - 1, dtype=np.int64)
+    assert cohomology._matmul_mod(X, X.T, q)[0, 0] == 2**13 * (q - 1)**2 % q
+    Y = np.ones((2**13 + 1, 1), dtype=np.int64)
+    with pytest.raises(ModulusMismatch):
+        cohomology._matmul_mod(Y.T, Y, q)
+    # the bound is checked before an entry is read: a broadcast matrix of
+    # 2^51 columns is never copied
+    huge = np.broadcast_to(np.int8(1), (1, 2**51))
+    with pytest.raises(ModulusMismatch):
+        cohomology._matmul_mod(huge, huge.T, 4)
 
 
 def test_a5_multiplier_stays_narrow():
@@ -732,8 +828,9 @@ def test_a5_multiplier_stays_narrow():
     finally:
         tracemalloc.stop()
     assert mult.invariants == [2]
-    # about 7 MB with int8 lifts and blocked products, 18 MB with int64
-    assert peak < 10 * 2**20
+    # about 1.8 MB with a narrow chain, lazily reduced int8 eliminations and
+    # row blocks; 6.2 MB when the chain was widened to int64 and copied
+    assert peak < 2.5 * 2**20
 
 
 def test_lift_overflow_is_raised_not_wrapped(monkeypatch):
@@ -810,3 +907,48 @@ def test_catalog_multipliers_are_pinned():
     assert len(names) == 59
     assert h.hexdigest() == (
         "5921f0c90420e630e151841d50e3ac6b8e70e52add688154d18c6881efd157cf")
+
+
+@pytest.mark.parametrize("name, expect", [
+    ("C3xSL(2,3)", [3]),   # M(C3) + M(SL(2,3)) + C3 (x) SL(2,3)^ab
+    ("C2xA5", [2]),        # Kunneth: M(A5) = C2, and A5 is perfect
+    ("SL(2,5)", []),       # the Schur cover of A5
+    ("C5xC5:C4", []),
+])
+def test_multipliers_past_the_default_cap(name, expect):
+    from projrep.catalog import get_group
+    assert schur_multiplier(get_group(name), cap=120).invariants == expect
+
+
+def test_catalog_multipliers_are_pinned_at_cap_200():
+    # the same digest over the whole catalog, orders up to 120
+    from projrep.catalog import catalog, get_group
+    h = hashlib.sha256()
+    names = [e.name for e in catalog() if e.order <= 200]
+    for name in names:
+        m = schur_multiplier(get_group(name), cap=200)
+        h.update(f"{name}:{m.invariants}".encode())
+        for c in m.basis:
+            h.update(f"{c.modulus}:".encode() + c.table.tobytes())
+    assert len(names) == 63
+    assert h.hexdigest() == (
+        "f186f2273b2e888ffe66f7226363fa124d4a4c2b3e3d57620440ce825e069ab0")
+
+
+@pytest.mark.parametrize("name, cap", [("SL(2,3)", 60), ("SL(2,5)", 120)])
+def test_trivial_sylow_multipliers_skip_the_solve(monkeypatch, name, cap):
+    # a Sylow 2-subgroup of either is quaternion, with trivial multiplier,
+    # and 2 is the one prime whose square divides the order: M(G) is known
+    # to be trivial without a lift of G (its Sylow subgroup is solved)
+    from projrep.catalog import entry
+    G = entry(name).build()
+    lift = cohomology._generator_lift
+
+    def no_lift_of_G(H):
+        if H is G:
+            raise LiftOverflow(f"{name} was lifted")
+        return lift(H)
+
+    monkeypatch.setattr(cohomology, "_generator_lift", no_lift_of_G)
+    assert schur_multiplier(G, cap=cap).invariants == []
+    assert schur_multiplier(sylow_subgroup(G, 2).as_group()).invariants == []
