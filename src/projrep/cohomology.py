@@ -25,10 +25,16 @@ Z^2(Z/q) is solved in generator coordinates.  A normalized cocycle is fixed
 by its values a(x, g) on the generators g, since the cocycle identity reads
 a(x, yg) = a(x, y) + a(xy, g) - a(y, g) along a BFS tree of the Cayley graph.
 That lift L turns the identity into a matrix FL on |gens|*(|G|-1) unknowns
-instead of (|G|-1)^2, and Z^2(Z/p^j) = L ker(FL mod p^j).  Every kernel,
-solution and cokernel is read off one Smith decomposition over Z/p^k per
-solve, so FL is decomposed once per prime, and so is each presentation of
-a p-part, whose cokernel generators come from the same elimination.
+instead of (|G|-1)^2, and Z^2(Z/p^j) = L ker(FL mod p^j).  FL holds the
+identity rows F(g, y, h) at generators g only, on the Cayley-graph edges
+(y, h) off the tree: the fundamental cycles of the tree span the cycle
+space, the relation module of G (K. S. Brown, *Cohomology of Groups*,
+II.5), and every x is a word in the generators, so the rows at every other
+x are integer combinations of these and nothing is deduplicated.  Every
+kernel, solution and cokernel is read off one Smith decomposition over
+Z/p^k per solve, so FL is decomposed once per prime, and so is each
+presentation of a p-part, whose cokernel generators come from the same
+elimination.
 _kernel_from_chain makes kernel generators canonical, so basis cocycles do
 not depend on how the solve went.  All of it is exact integer arithmetic,
 checked against the matrices solved.  The lift, FL and the lifted chain
@@ -502,12 +508,21 @@ def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     the right Cayley graph writes every value as a(x, z) = L[x-1, z-1] @ u;
     a = L u is a cocycle mod q iff (F L) u = 0 mod q, hence
     Z^2(Z/q) = L ker(FL mod q) for every q.  L holds one row per table
-    entry, as an (|G|-1, |G|-1, |u|) view; FL holds the distinct nonzero
-    rows F(x, y, g) over all nonidentity x, y and generators g, which
-    suffice (F of a longer word z*g is an integer combination of
-    F(., ., z) and F(., ., g) rows): dropping zero and repeated rows keeps
-    the row space, hence every kernel.  FL is filled from rows of L into one
-    array, a block of x at a time, so F itself is never formed.
+    entry, as an (|G|-1, |G|-1, |u|) view.
+
+    FL holds the rows F(g, y, h) for generators g and the edges (y, h) off
+    the tree, in that order, and these imply every row.  F vanishes on tree
+    edges, so on an edge e off the tree F(x, e) is the sum of F(x, .) around
+    the cycle C_e that e closes in the tree.  The differences
+    a(x, yh) - a(x, y) cancel around it, which leaves W(xC_e) - W(C_e),
+    where W sums a(y, h) over the edges (y, h) of a cycle, with signs.  The
+    C_e span the cycle space of the Cayley graph, the relation module of G
+    (K. S. Brown, *Cohomology of Groups*, II.5), and x = g_1 ... g_r is a
+    positive word, so W(xC) - W(C) is the sum of the W(g_i C') - W(C') over
+    the cycles C' = g_(i+1) ... g_r C, each an integer combination of the
+    rows F(g_i, e).  So the rows at generators span every row F(x, y, h)
+    over Z, and the kernels agree mod every q; a row at a longer word z*h
+    is an integer combination of rows F(., ., z) and F(., ., h) in turn.
 
     Both are int8.  While every entry of L stays within _LIFT_BOUND, the
     three-term steps and the four-term rows of FL cannot leave the int8
@@ -520,6 +535,9 @@ def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     lift = np.zeros((n, n, len(gens) * m), dtype=np.int8)
     for b, g in enumerate(gens):
         lift[xs, g, b * m + xs - 1] = 1
+    # the edges (1, g) hang the generators off the root
+    off_tree = np.ones((n, len(gens)), dtype=bool)
+    off_tree[0] = False
     for y, b, z in _cayley_tree(G):
         g = gens[b]
         col = lift[:, y] + lift[G.mul[:, y], g] - lift[y, g]
@@ -527,55 +545,12 @@ def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
             raise LiftOverflow(f"a lift entry of {G.name} exceeds "
                                f"{_LIFT_BOUND} in absolute value")
         lift[:, z] = col
-    return lift[1:, 1:], _distinct_nonzero_rows(_identity_rows(G, lift))
-
-
-def _identity_rows(G: FiniteGroup, lift: np.ndarray) -> np.ndarray:
-    """Row (b m + x - 1) m + y - 1, m = |G| - 1, holds F(x, y, gens[b]) L.
-
-    The rows are filled into one int8 array, a block of x at a time, so the
-    gathered rows of the lift stay bounded.
-    """
-    n = G.order
-    m = n - 1
-    ys = np.arange(1, n)
-    gens = _generators(G)
-    FL = np.empty((len(gens) * m * m, lift.shape[2]), dtype=np.int8)
-    step = max(1, _BLOCK_BYTES // lift[0].nbytes)
-    for b, g in enumerate(gens):
-        for x0 in range(1, n, step):
-            x = np.arange(x0, min(x0 + step, n))[:, None]
-            out = FL[(b * m + x0 - 1) * m:(b * m + x0 - 1 + x.size) * m]
-            out = out.reshape(x.size, m, -1)
-            np.subtract(lift[x0:x0 + x.size, 1:], lift[1:, g], out=out)
-            out += lift[G.mul[x, ys], g]
-            out -= lift[x, G.mul[ys, g]]
-    return FL
-
-
-def _distinct_nonzero_rows(M: np.ndarray) -> np.ndarray:
-    """The first copy of each distinct nonzero row of M, in order, in place.
-
-    M must own its data: those rows are moved to its top and M is shrunk to
-    them.  Each row is viewed as one opaque np.void key, and a stable
-    argsort sets equal rows side by side with their first copy leading, so
-    neither a sorted copy of M nor a second one of its rows is made.
-    """
-    rows, cols = M.shape
-    keys = M.view(np.dtype((np.void, M.itemsize * cols)))[:, 0]
-    order = np.argsort(keys, kind="stable")
-    first = M.any(axis=1)[order]
-    step = max(1, _BLOCK_BYTES // keys.itemsize)
-    for i in range(1, rows, step):
-        j = min(i + step, rows)
-        first[i:j] &= keys[order[i:j]] != keys[order[i - 1:j - 1]]
-    del keys
-    order = np.sort(order[first])
-    for i in range(0, order.size, step):
-        j = min(i + step, order.size)
-        M[i:j] = M[order[i:j]]
-    M.resize((order.size, cols), refcheck=False)
-    return M
+        off_tree[y, b] = False
+    y, b = np.nonzero(off_tree)
+    gens = np.array(gens, dtype=np.intp)
+    g, h = gens[:, None], gens[b]
+    FL = lift[g, y] + lift[G.mul[g, y], h] - lift[y, h] - lift[g, G.mul[y, h]]
+    return lift[1:, 1:], FL.reshape(gens.size * y.size, lift.shape[2])
 
 
 def _cocycle_generators(L: np.ndarray, FL: np.ndarray, p: int,

@@ -15,8 +15,8 @@ from projrep.cohomology import (
     Cocycle,
     _cocycle_generators,
     _cokernel,
-    _distinct_nonzero_rows,
     _generator_lift,
+    _generators,
     _kernel_from_chain,
     _rref_mod_p,
     class_order,
@@ -739,8 +739,21 @@ def test_coclass_rejects_vectors_of_the_wrong_length(v4):
 # -- the narrow Z^2 solve ------------------------------------------------------
 
 
-def _distinct_nonzero_rows_reference(M):
-    """The dict loop that the np.void keys replaced, kept verbatim."""
+def _identity_rows_reference(G, L):
+    """The all-x fill that the rows at the generators replaced.
+
+    Row (b m + x - 1) m + y - 1, m = |G| - 1, holds F(x, y, gens[b]) L for
+    every nonidentity x and y; zero rows are dropped, and so is every row
+    after its first copy (the dict loop that keyed them as bytes).
+    """
+    n = G.order
+    lift = np.zeros((n, n, L.shape[2]), dtype=np.int8)
+    lift[1:, 1:] = L
+    x = np.arange(1, n)[:, None]
+    y = np.arange(1, n)[None, :]
+    M = np.concatenate([
+        lift[x, y] + lift[G.mul[x, y], g] - lift[y, g] - lift[x, G.mul[y, g]]
+        for g in _generators(G)]).reshape(-1, L.shape[2])
     M = M[np.any(M, axis=1)]
     first: dict[bytes, int] = {}
     for i, row in enumerate(M):
@@ -748,23 +761,29 @@ def _distinct_nonzero_rows_reference(M):
     return M[list(first.values())]
 
 
-@settings(max_examples=150, deadline=None)
-@given(dtype=st.sampled_from([np.int8, np.int64]),
-       cols=st.integers(1, 6), data=st.data())
-def test_distinct_nonzero_rows_matches_the_dict_loop(dtype, cols, data):
-    # few distinct rows drawn with repeats, zero rows among them, so every
-    # case has duplicates to drop and an order of first copies to keep
-    pool = data.draw(st.lists(
-        st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
-        min_size=1, max_size=5))
-    pool.append([0] * cols)
-    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
-    M = np.array([pool[i] for i in picks], dtype=dtype).reshape(-1, cols)
-    # the rows are compacted in place, in an array that owns its data
-    got = _distinct_nonzero_rows(M.copy())
-    want = _distinct_nonzero_rows_reference(M)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
+def test_generator_rows_solve_as_all_rows():
+    # FL holds F(g, y, h) for generators g and edges (y, h) off the Cayley
+    # tree only; at every prime whose square divides |G| the canonical
+    # cocycle generators equal those of the deduplicated rows over every x
+    from projrep.catalog import catalog, get_group
+    cases = 0
+    for name in [e.name for e in catalog() if 1 < e.order <= 60]:
+        G = get_group(name)
+        n, gens = G.order, _generators(G)
+        L, FL = _generator_lift(G)
+        assert FL.shape == (len(gens) * (len(gens) * n - (n - 1)),
+                            L.shape[2]), name
+        reference = _identity_rows_reference(G, L)
+        for p, e in factorize(n).items():
+            if e < 2:
+                continue
+            new = _cocycle_generators(L, FL, p, e // 2)
+            old = _cocycle_generators(L, reference, p, e // 2)
+            assert new.dtype == old.dtype and np.array_equal(new, old), \
+                (name, p)
+            cases += 1
+    assert _generator_lift(get_group("A5"))[1].shape[0] == 122
+    assert cases == 39
 
 
 @settings(max_examples=300, deadline=None)
@@ -828,9 +847,24 @@ def test_a5_multiplier_stays_narrow():
     finally:
         tracemalloc.stop()
     assert mult.invariants == [2]
-    # about 1.8 MB with a narrow chain, lazily reduced int8 eliminations and
-    # row blocks; 6.2 MB when the chain was widened to int64 and copied
-    assert peak < 2.5 * 2**20
+    # about 1.2 MB with FL on the rows at the generators; 1.8 MB when FL was
+    # filled over every x and deduplicated, 6.2 MB when the chain was also
+    # widened to int64 and copied
+    assert peak < 1.5 * 2**20
+
+
+def test_c2xa5_multiplier_stays_narrow_at_cap_200():
+    from projrep.catalog import entry
+    G = entry("C2xA5").build()
+    tracemalloc.start()
+    try:
+        mult = schur_multiplier(G, cap=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mult.invariants == [2]
+    # about 10.5 MB; 26.4 MB when FL was filled over every x
+    assert peak < 16 * 2**20
 
 
 def test_lift_overflow_is_raised_not_wrapped(monkeypatch):
