@@ -9,8 +9,8 @@ whose rows sum to zero, and that is trivial in H^2(G, C*) iff it is the
 coboundary of a Z/n-valued cochain: one congruence per Cayley-graph edge off
 a BFS tree, tested against a left annihilator computed once per group
 (_coboundary_tests).  The test at p decides the p-part of the class alone.
-is_trivial_coclass and class_order ask it, and so do the multiplier's
-relations and resolve.
+is_trivial_coclass and class_order ask it, unless the mu_n form is zero,
+and so do the multiplier's relations and resolve.
 
 The multiplier of G is assembled prime by prime: for each p with p^2 | |G|,
 q = p^floor(v_p(|G|)/2) bounds the exponent of the p-part, whose classes
@@ -46,7 +46,6 @@ read-only and safe to share.
 
 from __future__ import annotations
 
-import hashlib
 from math import gcd, prod
 
 import numpy as np
@@ -405,6 +404,8 @@ class Cocycle:
                        self.table[np.ix_(el, el)], check=False)
 
     def hash_hex(self) -> str:
+        # imported here: hashlib maps OpenSSL, which a sweep never needs
+        import hashlib
         h = hashlib.sha256()
         h.update(str(self.modulus).encode())
         h.update(self.table.tobytes())
@@ -1048,15 +1049,19 @@ def _is_coboundary(G: FiniteGroup, v: np.ndarray) -> bool:
 def is_trivial_coclass(G: FiniteGroup, table: np.ndarray,
                        modulus: int | None = None) -> bool:
     """True iff the cocycle table (complex units, or exponents mod
-    ``modulus``) is a coboundary in C*: exact, with no eigen-solve."""
+    ``modulus``) is a coboundary in C*: exact, with no eigen-solve.  A
+    table whose mu_n form is zero is trivial without the edge test."""
     e = mu_n_exponents(G, table, modulus)[0]
-    return _is_coboundary(G, e[_coboundary_tests(G)[0]])
+    return not e.any() or _is_coboundary(G, e[_coboundary_tests(G)[0]])
 
 
 def class_order(c: Cocycle) -> int:
     """Order of the class of c in H^2(G, C*): the least k dividing the
     modulus with c^k trivial, where k e represents c^k."""
     G = c.group
-    e = mu_n_exponents(G, c.table, c.modulus)[0][_coboundary_tests(G)[0]]
+    e = mu_n_exponents(G, c.table, c.modulus)[0]
+    if not e.any():
+        return 1
+    e = e[_coboundary_tests(G)[0]]
     return next(k for k in _divisors(c.modulus)
                 if _is_coboundary(G, k * e % G.order))

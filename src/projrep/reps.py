@@ -6,7 +6,8 @@ characters by ``hom_dim``; similarity classes are never compared by matrix
 equality.  Conjugation twists come from ``twisted.alpha_tilde`` and the
 right regular action from the algebra, so every product of cocycle values
 has numpy's array rounding.  All values are immutable and safe to share;
-randomized splits are pure in (input, seed).
+randomized splits are pure in (input, seed): their Gaussian draws come from
+``twisted.gaussians``, the standard library's ``random.Random(seed)``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .twisted import (
     _cluster,
     alpha_tilde,
     c_regular_classes,
+    gaussians,
     wedderburn,
 )
 
@@ -227,8 +229,7 @@ def _split_block(A: TwistedAlgebra, V: np.ndarray, degree: int,
     n = A.group.order
     last = None
     for attempt in range(SPLIT_RETRIES):
-        rng = np.random.default_rng(seed + 104729 * attempt + degree)
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = gaussians(seed + 104729 * attempt + degree, n)
         b = z + A.star(z)
         C = V.conj().T @ A.right_action_matrix(b) @ V
         evals, evecs = np.linalg.eigh((C + C.conj().T) / 2)
@@ -279,10 +280,9 @@ def decompose(r: ProjRep, seed: int = 0) -> list[Constituent]:
     d = r.degree
     last = None
     for attempt in range(SPLIT_RETRIES):
-        rng = np.random.default_rng(seed + 7127 * attempt + d)
         H = np.zeros((d, d), dtype=np.complex128)
-        for X in basis:
-            c = rng.standard_normal() + 1j * rng.standard_normal()
+        for c, X in zip(gaussians(seed + 7127 * attempt + d, len(basis)),
+                        basis):
             H += c * X
         H = H + H.conj().T
         evals, evecs = np.linalg.eigh(H)

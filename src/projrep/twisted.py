@@ -7,11 +7,18 @@ c-regularity is decided exactly, on the algebra's exponent table.
 ``alpha_tilde`` is the one place a conjugation twist is formed, for this
 module and for the Clifford steps of reps.py.  Algebras are immutable;
 ``wedderburn`` is a pure function of (A, seed).
+
+Every random draw of the package, here and in reps.py, comes from
+``gaussians``: Box-Muller on the standard library's ``random.Random(seed)``,
+whose sequence Python keeps stable across versions.  numpy.random is never
+imported; it would add about 6 MB and OpenSSL to each process for a few
+hundred draws.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +34,22 @@ from .groups import FiniteGroup, Subgroup, conjugacy_classes
 from .tolerances import TOL_DEFECT, TOL_GAP, TOL_UNIT
 
 WEDDERBURN_RETRIES = 5
+
+
+def gaussians(seed: int, count: int) -> np.ndarray:
+    """count complex draws whose real and imaginary parts are independent
+    standard normals, a pure function of (seed, count).
+
+    Box-Muller on ``random.Random(seed).random()``: each pair (u, v) of
+    uniforms in [0, 1) gives sqrt(-2 ln(1 - u)) exp(2 pi i v).
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        r = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        phase = 2.0 * math.pi * rng.random()
+        out.append(complex(r * math.cos(phase), r * math.sin(phase)))
+    return np.array(out, dtype=np.complex128)
 
 
 class TwistedAlgebra:
@@ -241,8 +264,7 @@ def wedderburn(A: TwistedAlgebra, seed: int = 0) -> WedderburnData:
     dim = len(center)
     last_error = None
     for attempt in range(WEDDERBURN_RETRIES):
-        rng = np.random.default_rng(seed + 7919 * attempt)
-        coeff = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        coeff = gaussians(seed + 7919 * attempt, dim)
         z = np.zeros(n, dtype=np.complex128)
         for c, vec in zip(coeff, center):
             z += c * vec
@@ -272,8 +294,8 @@ def wedderburn(A: TwistedAlgebra, seed: int = 0) -> WedderburnData:
             # multiplication by that block's central idempotent
             V = evecs[:, idx[0]:idx[-1] + 1]
             images.append(V)
-            P = V @ V.conj().T
-            idempotents.append(P[:, 0].copy())  # e = P applied to 1 sigma
+            # e = V V^H applied to 1 sigma, the projector's first column
+            idempotents.append(V @ V[0].conj())
         if sum(d * d for d in degrees) != n:
             raise DegreeNotIntegral("block degrees violate the degree formula")
         residual = _idempotent_residual(A, idempotents)

@@ -54,7 +54,7 @@ from .reps import (
     split_regular,
     tensor_reps,
 )
-from .tolerances import DEFAULT_H2_CAP, TOL_CHECK
+from .tolerances import DEFAULT_H2_CAP, TOL_DEFECT
 from .twisted import TwistedAlgebra, c_regular_classes, wedderburn
 
 
@@ -533,16 +533,18 @@ def decompose_along_series(V: ProjRep, terms: list[Subgroup],
     for Y in factors[1:]:
         big = tensor_reps(big, Y)
     exact = ctx.algebra.table[np.ix_(final_emb, final_emb)]
+    # the whole residual is bounded: the factor cocycles' drift from the
+    # restricted cocycle and the defects of the tensor and its induction
     drift = float(np.max(np.abs(big.table - exact)))
-    if drift > TOL_CHECK:
-        raise ReconstructionFailure(f"factor cocycles drift {drift:.2e} "
-                                    "from the restricted cocycle")
     rebased = ProjRep(Jf, exact, big.matrices, check=False)
     recon = induce_rep(rebased, J_final, ctx.algebra)
+    residual = max(drift, recon.defect(), rebased.defect())
+    if residual > TOL_DEFECT:
+        raise ReconstructionFailure(f"certificate residual {residual:.2e} "
+                                    f"(cocycle drift {drift:.2e})")
     dim = hom_dim(recon, V)
     if dim != 1:
         raise ReconstructionFailure("induced tensor is not isomorphic to V")
-    residual = max(drift, recon.defect(), rebased.defect())
     return DecompositionCertificate(subgroup=J_final, factors=factors,
                                     reconstruction=recon, intertwiner_dim=dim,
                                     residual=residual, input_degree=V.degree)

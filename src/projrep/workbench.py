@@ -17,9 +17,9 @@ loads no representation layer; they are re-exported here.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,8 +86,10 @@ class RunConfig:
 
 
 def _task_seed(seed: int, *parts: str) -> int:
-    h = hashlib.sha256(("|".join(parts)).encode()).digest()
-    return (seed * 0x9E3779B1 + int.from_bytes(h[:4], "big")) % (2**31)
+    # any fixed 32-bit hash of the task's name serves; zlib's CRC-32 maps
+    # no OpenSSL into the process, as hashlib would
+    h = zlib.crc32("|".join(parts).encode())
+    return (seed * 0x9E3779B1 + h) % (2**31)
 
 
 def contexts_for(name: str, config: RunConfig) -> list[CoclassContext]:

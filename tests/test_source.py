@@ -319,3 +319,29 @@ def test_one_cocycle_identity_test():
     assert "TOL_CHECK" not in twisted
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if "TOL_COCYCLE" in path.read_text()] == []
+
+
+def test_no_numpy_random_and_no_module_level_hashlib():
+    # seeded draws come from twisted.gaussians on the standard library's
+    # random.Random, and hashlib is imported only by the one function that
+    # hashes; numpy.random and hashlib's OpenSSL would be mapped by every
+    # compute process for nothing
+    def names_numpy_random(node):
+        if isinstance(node, ast.Attribute):
+            return ast.unparse(node) in ("np.random", "numpy.random")
+        if isinstance(node, ast.Import):
+            return any(a.name.startswith("numpy.random") for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy"
+                and any(a.name == "random" for a in node.names))
+        return False
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if names_numpy_random(node)]
+        if "hashlib" in _import_time_modules(path):
+            found.append(f"{path.name}:hashlib")
+    assert found == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projrep import twisted
-from projrep.catalog import catalog, coclass_contexts, get_group
+from projrep.catalog import catalog, coclass_contexts, entry, get_group
 from projrep.cohomology import (
     Cocycle,
     _flat,
@@ -20,6 +20,7 @@ from projrep.cohomology import (
     mu_n_exponents,
     schur_multiplier,
     solve_mod_prime_power,
+    trivial_cocycle,
 )
 from projrep.errors import CocycleMismatch
 from projrep.groups import prime_divisors, sylow_subgroup
@@ -126,6 +127,30 @@ def test_non_cocycles_raise():
         is_trivial_coclass(G, table, 6)
     with pytest.raises(CocycleMismatch):
         is_trivial_coclass(G, np.exp(2j * np.pi * table / 6))
+
+
+def test_zero_forms_need_no_class_test():
+    # a table whose mu_n form is zero is trivial: no edge annihilator is
+    # built for it, and the form still validates the table
+    G = entry("C5xC5:C4").build()  # a fresh group with empty caches
+    n = G.order
+    assert is_trivial_coclass(G, np.zeros((n, n), dtype=np.int64), n)
+    assert is_trivial_coclass(G, np.ones((n, n), dtype=np.complex128))
+    assert class_order(trivial_cocycle(G)) == 1
+    assert "coboundary_tests" not in G._cache
+    table = np.zeros((n, n), dtype=np.int64)
+    table[1, 2] = 1
+    with pytest.raises(CocycleMismatch):
+        is_trivial_coclass(G, table, n)
+    with pytest.raises(CocycleMismatch):
+        class_order(Cocycle(G, n, table, check=False))
+    assert "coboundary_tests" not in G._cache
+    # a nonzero form of a trivial class still asks the test
+    ell = np.arange(n) % 7
+    ell[0] = 0
+    shifted = (ell[:, None] + ell[None, :] - ell[G.mul]) % n
+    assert is_trivial_coclass(G, shifted, n)
+    assert "coboundary_tests" in G._cache
 
 
 def test_cocycle_identity_is_checked_at_every_generator():

@@ -214,3 +214,23 @@ def test_regular_matrices_unitary(v4_twisted):
         for M in (v4_twisted.action_matrix(e[g]),
                   v4_twisted.right_action_matrix(e[g])):
             assert np.max(np.abs(M @ M.conj().T - np.eye(4))) < 1e-12
+
+
+def test_gaussians_are_a_pure_function_of_their_seed():
+    import random
+
+    from projrep.twisted import gaussians
+
+    first = gaussians(17, 40)
+    random.seed(5)  # the process-wide generator is not the one drawn from
+    assert np.array_equal(gaussians(17, 40), first)
+    assert np.array_equal(gaussians(17, 10), first[:10])
+    assert not np.array_equal(gaussians(18, 40), first)
+    assert first.dtype == np.complex128 and gaussians(3, 0).shape == (0,)
+    # Box-Muller on random.Random(0), whose first uniforms are pinned
+    u, v = 0.8444218515250481, 0.7579544029403025
+    expected = np.sqrt(-2 * np.log(1 - u)) * np.exp(2j * np.pi * v)
+    assert gaussians(0, 1)[0] == pytest.approx(expected, rel=1e-12)
+    draws = gaussians(0, 4000)
+    for part in (draws.real, draws.imag):
+        assert abs(part.mean()) < 0.1 and abs(part.std() - 1) < 0.1

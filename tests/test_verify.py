@@ -1,12 +1,14 @@
 """Tests for the theorem verifiers and decomposition certificates."""
 
 import numpy as np
+import pytest
 
 from projrep import verify
 from projrep.catalog import coclass_contexts
 from projrep.cohomology import schur_multiplier, trivial_cocycle
+from projrep.errors import ReconstructionFailure
 from projrep.groups import PiSet, o_pi, pi_series
-from projrep.reps import split_regular
+from projrep.reps import ProjRep, split_regular
 from projrep.twisted import TwistedAlgebra
 from projrep.verify import (
     CoclassContext,
@@ -173,6 +175,27 @@ def test_decompose_s3_chain():
     assert cert.subgroup.order == 3
     assert cert.factor_degrees == [1, 1]
     assert cert.residual < 1e-6
+
+
+def test_certificate_residual_is_bounded_as_a_whole(monkeypatch):
+    # a reconstruction defect of 1e-7 lies below TOL_CHECK, the old bound on
+    # the cocycle drift alone, and above TOL_DEFECT, which bounds the whole
+    # residual: it must raise, and the unplanted walk must not
+    ctx = ctx_of("S3")
+    V = [x for x in ctx.irreps if x.degree == 2][0]
+    series = pi_series(ctx.group, PiSet([3])).terms[1:]
+    induce = verify.induce_rep
+
+    def planted(X, J, A):
+        out = induce(X, J, A)
+        mats = out.matrices.copy()
+        mats[1:] *= 1 + 1e-7
+        return ProjRep(out.group, out.table, mats, check=False)
+
+    assert decompose_along_series(V, series, ctx).residual < 1e-8
+    monkeypatch.setattr(verify, "induce_rep", planted)
+    with pytest.raises(ReconstructionFailure, match="certificate residual"):
+        decompose_along_series(V, series, ctx)
 
 
 def test_decompose_a4_chain():

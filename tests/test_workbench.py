@@ -315,6 +315,21 @@ def test_commands_that_compute_nothing_load_no_layer(tmp_path):
     assert _loaded_after(tmp_path, heavy, cli, ["degrees", "C2"]) == heavy
 
 
+def test_compute_processes_map_no_numpy_random_and_no_openssl(tmp_path):
+    # seeded draws come from the standard library's random.Random and task
+    # seeds from zlib.crc32; numpy.random (about 6 MB) and hashlib's
+    # OpenSSL (about 3 MB) feed no verdict, so no compute process maps them
+    unused = ["numpy.random", "hashlib", "_hashlib"]
+    cli = "from projrep.cli import entry; entry()"
+    sweep = ("from projrep.workbench import RunConfig, run; "
+             "run(RunConfig(groups=['S4', 'C5xC5:C4'], jobs=1))")
+    for code, args in ((cli, ["verify", "S4"]),
+                       (cli, ["decompose", "S4", "--coclass", "1",
+                              "--pi", "2"]),
+                       (sweep, [])):
+        assert _loaded_after(tmp_path, unused, code, args) == [], args
+
+
 EXPORTS = {
     "cohomology": [
         "Cochain1", "Coclass", "Cocycle", "SchurMultiplier",
