@@ -1,5 +1,7 @@
 """Tests for the twisted group algebra layer."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from projrep.twisted import (
     alpha_tilde,
     c_regular_classes,
     center_basis,
+    gaussians,
     wedderburn,
 )
 
@@ -217,10 +220,6 @@ def test_regular_matrices_unitary(v4_twisted):
 
 
 def test_gaussians_are_a_pure_function_of_their_seed():
-    import random
-
-    from projrep.twisted import gaussians
-
     first = gaussians(17, 40)
     random.seed(5)  # the process-wide generator is not the one drawn from
     assert np.array_equal(gaussians(17, 40), first)
