@@ -1,184 +1,181 @@
 """Command-line front end for the projective representation workbench.
 
-Each command imports the layers it runs when it runs, so ``catalog``,
-``--help``, usage errors and shell completion start without numpy.
+One standard-library ``argparse`` parser.  Each command imports the layers
+it runs when it runs, so ``catalog``, ``--help`` and usage errors start
+without numpy.
 """
 
-from __future__ import annotations
-
+import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-import click
 
 from .catalog import catalog
 from .errors import BadCoclassIndex, ProjrepError
 from .tolerances import CHECK_NAMES, DEFAULT_H2_CAP, DEFAULT_ORDER_CAP
 
-if TYPE_CHECKING:
-    from .groups import PiSet
+GLOBAL_OPTIONS = (
+    ("--seed", int, 0, "Base seed for all randomized numerics."),
+    ("--h2-cap", int, DEFAULT_H2_CAP,
+     "Largest order for direct multiplier computation."),
+    ("--order-cap", int, DEFAULT_ORDER_CAP, "Largest admissible group order."),
+    ("--out", Path, None, "Directory for JSONL results and the CSV summary."),
+    ("--jobs", int, 1, "Worker processes for verification sweeps, one group "
+                       "each, capped at the usable CPUs."),
+)
 
 
-def _parse_pi(value: str | None) -> PiSet | None:
-    if value is None:
-        return None
-    from .groups import PiSet
-    try:
-        return PiSet(int(v) for v in value.split(","))
-    except ValueError as exc:
-        raise click.BadParameter(f"bad prime set {value!r}") from exc
+def prime(text: str) -> int:
+    """A prime read from the command line; argparse reports a ValueError."""
+    p = int(text)
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(text)
+    return p
 
 
-@click.group()
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Base seed for all randomized numerics.")
-@click.option("--h2-cap", type=int, default=DEFAULT_H2_CAP, show_default=True,
-              help="Largest order for direct multiplier computation.")
-@click.option("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
-              show_default=True, help="Largest admissible group order.")
-@click.option("--out", type=click.Path(path_type=Path), default=None,
-              help="Directory for JSONL results and the CSV summary.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes for verification sweeps, one group "
-                   "each, capped at the usable CPUs.")
-@click.pass_context
-def main(ctx, seed, h2_cap, order_cap, out, jobs):
-    """Projective representation workbench for small finite groups."""
-    ctx.obj = dict(seed=seed, h2_cap=h2_cap, order_cap=order_cap, out=out,
-                   jobs=jobs)
+def primes(text: str) -> list[int]:
+    return [prime(v) for v in text.split(",")]
 
 
-def _config(options: dict, group: str):
-    """The run configuration of a command on one group."""
+def _config(args):
+    """The run configuration of a command on its group."""
     from .workbench import RunConfig
-    return RunConfig(groups=[group], **options)
+    return RunConfig(groups=[args.group], seed=args.seed, h2_cap=args.h2_cap,
+                     order_cap=args.order_cap, out=args.out, jobs=args.jobs)
 
 
-@main.command("catalog")
-def catalog_cmd():
+def catalog_cmd(args):
     """List the built-in groups."""
     for e in catalog():
         flags = "solvable" if e.solvable else "not solvable"
         note = f"  ({e.notes})" if e.notes else ""
-        click.echo(f"{e.name:12s} order {e.order:4d}  {flags}{note}")
+        print(f"{e.name:12s} order {e.order:4d}  {flags}{note}")
 
 
-def _context(options, group, coclass_index):
+def _context(args):
     from .workbench import contexts_for
-    ctxs = contexts_for(group, _config(options, group))
-    if not 0 <= coclass_index < len(ctxs):
+    ctxs = contexts_for(args.group, _config(args))
+    if not 0 <= args.coclass < len(ctxs):
         raise BadCoclassIndex(
-            f"{group} has {len(ctxs)} coclasses; index {coclass_index} "
+            f"{args.group} has {len(ctxs)} coclasses; index {args.coclass} "
             "is out of range")
-    return ctxs[coclass_index]
+    return ctxs[args.coclass]
 
 
-@main.command()
-@click.argument("group")
-@click.pass_obj
-def multiplier(options, group):
+def multiplier(args):
     """Invariant factors and basis hashes of the multiplier."""
     from .catalog import resolve_group
     from .cohomology import multiplier_report
-    G = resolve_group(group, options["order_cap"])
-    click.echo(json.dumps(multiplier_report(G, h2_cap=options["h2_cap"]),
-                          sort_keys=True))
+    G = resolve_group(args.group, args.order_cap)
+    print(json.dumps(multiplier_report(G, h2_cap=args.h2_cap),
+                     sort_keys=True))
 
 
-@main.command()
-@click.argument("group")
-@click.option("--coclass", "coclass_index", type=int, default=0,
-              show_default=True, help="Lexicographic coclass index.")
-@click.pass_obj
-def degrees(options, group, coclass_index):
+def degrees(args):
     """Irreducible projective degrees for one coclass."""
     from .workbench import degrees_report
-    ctx = _context(options, group, coclass_index)
-    click.echo(json.dumps(degrees_report(ctx), sort_keys=True))
+    print(json.dumps(degrees_report(_context(args)), sort_keys=True))
 
 
-@main.command("regular-classes")
-@click.argument("group")
-@click.option("--coclass", "coclass_index", type=int, default=0,
-              show_default=True)
-@click.pass_obj
-def regular_classes_cmd(options, group, coclass_index):
+def regular_classes_cmd(args):
     """c-regular conjugacy classes for one coclass."""
     from .workbench import regular_classes_report
-    ctx = _context(options, group, coclass_index)
-    click.echo(json.dumps(regular_classes_report(ctx), sort_keys=True))
+    print(json.dumps(regular_classes_report(_context(args)), sort_keys=True))
 
 
-@main.command()
-@click.argument("group")
-@click.option("--check", "check", type=click.Choice(CHECK_NAMES),
-              default=None, help="Run a single check instead of all.")
-@click.option("--p", "prime", type=int, default=None,
-              help="Restrict prime-indexed checks to one prime.")
-@click.option("--pi", "pi", type=str, default=None,
-              help="Comma-separated primes for set-indexed checks.")
-@click.pass_obj
-def verify(options, group, check, prime, pi):
+def verify(args):
     """Run theorem checks; nonzero exit iff any applicable check fails."""
     from .workbench import run
-    config = _config(options, group)
-    if check:
-        config.checks = [check]
-    if prime is not None:
-        config.primes = [prime]
-    pset = _parse_pi(pi)
-    if pset is not None:
-        config.pi_sets = [pset]
+    from .groups import PiSet
+    config = _config(args)
+    if args.check:
+        config.checks = [args.check]
+    if args.prime is not None:
+        config.primes = [args.prime]
+    if args.pi is not None:
+        config.pi_sets = [PiSet(args.pi)]
     status, results = run(config)
     for r in results:
-        click.echo(f"{r.verdict.upper():13s} {r.name:22s} {r.group:10s} "
-                   f"c={r.coclass:8s} {r.param}")
-    counts = {"pass": 0, "fail": 0, "inapplicable": 0}
-    for r in results:
-        counts[r.verdict] += 1
-    click.echo(f"# pass={counts['pass']} fail={counts['fail']} "
-               f"inapplicable={counts['inapplicable']}")
-    sys.exit(status)
+        print(f"{r.verdict.upper():13s} {r.name:22s} {r.group:10s} "
+              f"c={r.coclass:8s} {r.param}")
+    counts = {v: sum(r.verdict == v for r in results)
+              for v in ("pass", "fail", "inapplicable")}
+    print(f"# pass={counts['pass']} fail={counts['fail']} "
+          f"inapplicable={counts['inapplicable']}")
+    return status
 
 
-@main.command()
-@click.argument("group")
-@click.option("--coclass", "coclass_index", type=int, default=0,
-              show_default=True)
-@click.option("--pi", "pi", type=str, required=True,
-              help="Comma-separated primes defining the split.")
-@click.pass_obj
-def decompose(options, group, coclass_index, pi):
+def decompose(args):
     """Decomposition certificates along the pi-series, one per irreducible."""
     from .verify import pi_decompose
-    ctx = _context(options, group, coclass_index)
-    pset = _parse_pi(pi)
+    from .groups import PiSet
+    ctx = _context(args)
+    pset = PiSet(args.pi)
     records = []
     for V in ctx.irreps:
         cert, rep = pi_decompose(V, pset, ctx)
-        records.append({
-            "degree": V.degree,
-            "subgroup_order": cert.subgroup.order,
-            "index": cert.index,
-            "factor_degrees": cert.factor_degrees,
-            "intertwiner_dim": cert.intertwiner_dim,
-            "residual": cert.residual,
-            "verdict": rep.verdict,
-        })
-    click.echo(json.dumps({"group": ctx.group.name, "coclass": ctx.label,
-                           "pi": pset.label(), "certificates": records,
-                           "seed": ctx.seed}, sort_keys=True))
-    if any(r["verdict"] != "pass" for r in records):
-        sys.exit(1)
+        records.append(dict(
+            degree=V.degree, subgroup_order=cert.subgroup.order,
+            index=cert.index, factor_degrees=cert.factor_degrees,
+            intertwiner_dim=cert.intertwiner_dim, residual=cert.residual,
+            verdict=rep.verdict))
+    print(json.dumps({"group": ctx.group.name, "coclass": ctx.label,
+                      "pi": pset.label(), "certificates": records,
+                      "seed": ctx.seed}, sort_keys=True))
+    return int(any(r["verdict"] != "pass" for r in records))
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="projrep", allow_abbrev=False,
+        description="Projective representation workbench for small finite "
+                    "groups.")
+    for flag, kind, default, text in GLOBAL_OPTIONS:
+        env = "PROJREP_" + flag[2:].upper().replace("-", "_")
+        # PROJREP_<OPTION> is parsed by the type: a bad value is a usage error
+        default = os.environ.get(env) or default
+        parser.add_argument(flag, type=kind, default=default,
+                            help=text + " (default: %(default)s)")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND",
+                                     required=True)
+    subs = {}
+    for handler in (catalog_cmd, multiplier, degrees, regular_classes_cmd,
+                    verify, decompose):
+        name = handler.__name__.removesuffix("_cmd").replace("_", "-")
+        sub = subs[name] = commands.add_parser(
+            name, allow_abbrev=False, help=handler.__doc__,
+            description=handler.__doc__)
+        sub.set_defaults(handler=handler)
+        if name != "catalog":
+            sub.add_argument("group")
+    for name in ("degrees", "regular-classes", "decompose"):
+        subs[name].add_argument("--coclass", type=int, default=0, help=(
+            "Lexicographic coclass index. (default: %(default)s)"))
+    checks, split = subs["verify"], subs["decompose"]
+    checks.add_argument("--check", choices=CHECK_NAMES,
+                        help="Run a single check instead of all.")
+    checks.add_argument("--p", dest="prime", metavar="P", type=prime,
+                        help="Restrict prime-indexed checks to one prime.")
+    checks.add_argument("--pi", type=primes,
+                        help="Comma-separated primes for set-indexed checks.")
+    split.add_argument("--pi", type=primes, required=True,
+                       help="Comma-separated primes defining the split.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns its exit status.  A usage error exits 2."""
+    args = _parser().parse_args(argv)
+    return args.handler(args) or 0
 
 
 def entry() -> None:
     try:
-        main(auto_envvar_prefix="PROJREP")
+        sys.exit(main())
     except ProjrepError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
 
 

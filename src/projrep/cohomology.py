@@ -404,9 +404,12 @@ class Cocycle:
                        self.table[np.ix_(el, el)], check=False)
 
     def hash_hex(self) -> str:
-        # imported here: hashlib maps OpenSSL, which a sweep never needs
-        import hashlib
-        h = hashlib.sha256()
+        # hashlib's builtin fallback: the same digest, and no OpenSSL mapped
+        try:
+            from _sha2 import sha256
+        except ImportError:  # Python 3.10 and 3.11
+            from _sha256 import sha256
+        h = sha256()
         h.update(str(self.modulus).encode())
         h.update(self.table.tobytes())
         return h.hexdigest()[:16]

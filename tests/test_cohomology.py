@@ -557,10 +557,13 @@ def test_cocycle_power_mul_restrict(s4g):
 
 
 def test_hash_stable(v4):
+    from projrep.catalog import get_group
     m = schur_multiplier(v4)
     c = m.coclass([1]).representative
     assert c.hash_hex() == c.hash_hex()
     assert c.hash_hex() != trivial_cocycle(v4).hash_hex()
+    assert [c.hash_hex() for c in schur_multiplier(get_group("C2xD4")).basis] \
+        == ["0c2ebcd270ba87c6", "c5431f170e067d85", "ba2a9cec09b1afb4"]
 
 
 def _cocycle_constraints_reference(G):
@@ -929,7 +932,8 @@ def test_generator_triples_decide_the_identity_on_the_catalog():
 
 def test_catalog_multipliers_are_pinned():
     # sha256 over the invariants and basis tables of every catalog
-    # multiplier of order <= 60
+    # multiplier of order <= 60; hash_hex, on the builtin SHA-256, gives
+    # hashlib's digest of each basis table
     from projrep.catalog import catalog, get_group
     h = hashlib.sha256()
     names = [e.name for e in catalog() if e.order <= 60]
@@ -938,6 +942,8 @@ def test_catalog_multipliers_are_pinned():
         h.update(f"{name}:{m.invariants}".encode())
         for c in m.basis:
             h.update(f"{c.modulus}:".encode() + c.table.tobytes())
+            assert c.hash_hex() == hashlib.sha256(
+                str(c.modulus).encode() + c.table.tobytes()).hexdigest()[:16]
     assert len(names) == 59
     assert h.hexdigest() == (
         "5921f0c90420e630e151841d50e3ac6b8e70e52add688154d18c6881efd157cf")

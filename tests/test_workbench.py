@@ -8,7 +8,6 @@ import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import projrep
 from projrep import catalog as catalog_module
@@ -25,7 +24,9 @@ from projrep import tolerances, workbench
 from projrep.tolerances import TOLERANCES
 from projrep.workbench import (
     RunConfig,
+    _task_seed,
     _worker_count,
+    contexts_for,
     degrees_report,
     export_group,
     parse_group_json,
@@ -273,9 +274,10 @@ def test_import_pins_openblas_to_one_thread_by_default():
         assert out.strip() == expected
 
 
-def _loaded_after(tmp_path, modules, code, args=()):
+def _loaded_after(tmp_path, modules, code, args=(), returncode=0):
     """The names in modules that a fresh interpreter running code holds in
-    sys.modules when it exits, with this checkout's package on its path."""
+    sys.modules when it exits with returncode, with this checkout's package
+    on its path."""
     src = str(os.path.dirname(os.path.dirname(workbench.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -285,7 +287,8 @@ def _loaded_after(tmp_path, modules, code, args=()):
              f" file=sys.stderr)); {code}")
     done = subprocess.run([sys.executable, "-c", probe, *args], env=env,
                           cwd=tmp_path, capture_output=True, text=True,
-                          timeout=120, check=True)
+                          timeout=120)
+    assert done.returncode == returncode, done.stderr
     return json.loads(done.stderr.strip().splitlines()[-1])
 
 
@@ -316,16 +319,21 @@ def test_commands_that_compute_nothing_load_no_layer(tmp_path):
 
 
 def test_compute_processes_map_no_numpy_random_and_no_openssl(tmp_path):
-    # seeded draws come from the standard library's random.Random and task
-    # seeds from zlib.crc32; numpy.random (about 6 MB) and hashlib's
-    # OpenSSL (about 3 MB) feed no verdict, so no compute process maps them
-    unused = ["numpy.random", "hashlib", "_hashlib"]
+    # seeded draws come from the standard library's random.Random, task
+    # seeds from zlib.crc32 and basis hashes from the builtin SHA-256;
+    # numpy.random (about 6 MB), hashlib's OpenSSL (about 3.7 MB) and click
+    # (about 1 MB) feed no result, so no process maps them
+    unused = ["numpy.random", "hashlib", "_hashlib", "click"]
     cli = "from projrep.cli import entry; entry()"
     sweep = ("from projrep.workbench import RunConfig, run; "
              "run(RunConfig(groups=['S4', 'C5xC5:C4'], jobs=1))")
-    for code, args in ((cli, ["verify", "S4"]),
+    for code, args in ((cli, ["catalog"]), (cli, ["--help"]),
+                       (cli, ["verify", "S4"]),
                        (cli, ["decompose", "S4", "--coclass", "1",
                               "--pi", "2"]),
+                       (cli, ["multiplier", "S4"]),
+                       (cli, ["degrees", "S4", "--coclass", "1"]),
+                       (cli, ["regular-classes", "A5", "--coclass", "1"]),
                        (sweep, [])):
         assert _loaded_after(tmp_path, unused, code, args) == [], args
 
@@ -371,74 +379,112 @@ def test_public_names_resolve_to_their_layer():
         exec("from projrep import no_such_name", {})
 
 
-def test_cli_degrees():
-    runner = CliRunner()
-    result = runner.invoke(main, ["degrees", "C2xC2", "--coclass", "1"])
-    assert result.exit_code == 0
-    doc = json.loads(result.output)
+def _entry(monkeypatch, capsys, *argv):
+    """Exit status, stdout and stderr of ``projrep argv`` run by entry()."""
+    monkeypatch.setattr(sys, "argv", ["projrep", *argv])
+    with pytest.raises(SystemExit) as done:
+        projrep.cli.entry()
+    out = capsys.readouterr()
+    return done.value.code, out.out, out.err
+
+
+def test_cli_degrees(capsys):
+    assert main(["degrees", "C2xC2", "--coclass", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["degrees"] == [2]
     assert "cocycle_hash" in doc and "seed" in doc
 
 
-def test_cli_multiplier():
-    runner = CliRunner()
-    result = runner.invoke(main, ["multiplier", "C6"])
-    assert result.exit_code == 0
-    assert json.loads(result.output)["invariants"] == []
-    result = runner.invoke(main, ["multiplier", "S4"])
-    assert json.loads(result.output)["invariants"] == [2]
+def test_cli_multiplier(capsys):
+    assert main(["multiplier", "C6"]) == 0
+    assert json.loads(capsys.readouterr().out)["invariants"] == []
+    main(["multiplier", "S4"])
+    assert json.loads(capsys.readouterr().out)["invariants"] == [2]
 
 
-def test_cli_regular_classes():
-    runner = CliRunner()
-    result = runner.invoke(main, ["regular-classes", "C2xC2", "--coclass", "1"])
-    assert result.exit_code == 0
-    doc = json.loads(result.output)
+def test_cli_regular_classes(capsys):
+    assert main(["regular-classes", "C2xC2", "--coclass", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["regular_count"] == 1
 
 
-def test_cli_verify_pass():
-    runner = CliRunner()
-    result = runner.invoke(main, ["verify", "S3", "--check", "basic"])
-    assert result.exit_code == 0
-    assert "PASS" in result.output
+def test_cli_verify_pass(capsys):
+    assert main(["verify", "S3", "--check", "basic"]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
-def test_cli_verify_single_prime():
-    runner = CliRunner()
-    result = runner.invoke(main, ["verify", "SL(2,3)", "--check", "ito-michler",
-                                  "--p", "3"])
-    assert result.exit_code == 0
-    assert "pass=1" in result.output.replace(" ", "").replace("#", "#")
+def test_cli_verify_single_prime(capsys):
+    assert main(["verify", "SL(2,3)", "--check", "ito-michler",
+                 "--p", "3"]) == 0
+    assert "pass=1" in capsys.readouterr().out.replace(" ", "")
 
 
-def test_cli_decompose():
-    runner = CliRunner()
-    result = runner.invoke(main, ["decompose", "S3", "--coclass", "0",
-                                  "--pi", "3"])
-    assert result.exit_code == 0
-    doc = json.loads(result.output)
+def test_cli_decompose(capsys):
+    assert main(["decompose", "S3", "--coclass", "0", "--pi", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert all(c["verdict"] == "pass" for c in doc["certificates"])
 
 
-def test_cli_bad_coclass_index():
-    runner = CliRunner()
-    result = runner.invoke(main, ["degrees", "C6", "--coclass", "5"])
-    assert result.exit_code != 0
+def test_cli_bad_coclass_index(monkeypatch, capsys):
+    status, out, err = _entry(monkeypatch, capsys,
+                              "degrees", "C6", "--coclass", "5")
+    assert status == 2
+    assert out == ""
+    assert err == "error: C6 has 1 coclasses; index 5 is out of range\n"
 
 
-def test_cli_group_file(tmp_path):
+def test_cli_group_file(tmp_path, capsys):
     doc = export_group(get_group("S3"))
     path = tmp_path / "s3.json"
     path.write_text(json.dumps(doc))
-    runner = CliRunner()
-    result = runner.invoke(main, ["degrees", str(path)])
-    assert result.exit_code == 0
-    assert json.loads(result.output)["degrees"] == [1, 1, 2]
+    assert main(["degrees", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["degrees"] == [1, 1, 2]
 
 
-def test_cli_env_override(tmp_path, monkeypatch):
+def test_cli_env_override(monkeypatch, capsys):
+    # entry() reads the global options' defaults from PROJREP_<OPTION>
+    label = contexts_for("S3", RunConfig(groups=["S3"]))[0].label
     monkeypatch.setenv("PROJREP_SEED", "99")
-    runner = CliRunner()
-    result = runner.invoke(main, ["degrees", "S3"], auto_envvar_prefix="PROJREP")
-    assert result.exit_code == 0
+    status, out, _ = _entry(monkeypatch, capsys, "degrees", "S3")
+    assert status == 0
+    assert json.loads(out)["seed"] == _task_seed(99, "S3", label) != \
+        _task_seed(0, "S3", label)
+    monkeypatch.setenv("PROJREP_SEED", "x")
+    status, out, err = _entry(monkeypatch, capsys, "catalog")
+    assert status == 2 and out == ""
+    assert "argument --seed: invalid int value: 'x'" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "S4", "--p", "4"], "argument --p: invalid prime value: '4'"),
+    (["verify", "S4", "--p", "0"], "argument --p: invalid prime value: '0'"),
+    (["verify", "S4", "--p", "two"],
+     "argument --p: invalid prime value: 'two'"),
+    (["verify", "S4", "--pi", "2,9"],
+     "argument --pi: invalid primes value: '2,9'"),
+    (["verify", "S4", "--pi", ""], "argument --pi: invalid primes value: ''"),
+    (["decompose", "S4", "--coclass", "1", "--pi", "4"],
+     "argument --pi: invalid primes value: '4'"),
+    (["decompose", "S4", "--coclass", "1", "--pi", "0"],
+     "argument --pi: invalid primes value: '0'"),
+    (["decompose", "S4", "--coclass", "1", "--pi", "2,"],
+     "argument --pi: invalid primes value: '2,'"),
+])
+def test_cli_primes_are_checked_while_parsing(monkeypatch, capsys, argv,
+                                              message):
+    # the checks and the pi-split take these as primes (4 would be checked
+    # as one, 0 divides by zero), so the parser refuses them
+    status, out, err = _entry(monkeypatch, capsys, *argv)
+    assert status == 2 and out == ""
+    assert err.splitlines()[-1].endswith(message)
+
+
+def test_cli_bad_primes_load_no_layer(tmp_path):
+    # a bad prime is a usage error before any layer, numpy included, loads
+    heavy = ["numpy"] + [f"projrep.{m}" for m in (
+        "cohomology", "groups", "reps", "twisted", "verify", "workbench")]
+    cli = "from projrep.cli import entry; entry()"
+    for args in (["verify", "S4", "--p", "4"],
+                 ["decompose", "S4", "--coclass", "1", "--pi", "4"]):
+        assert _loaded_after(tmp_path, heavy, cli, args,
+                             returncode=2) == [], args
