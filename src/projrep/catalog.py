@@ -2,8 +2,9 @@
 
 Every entry is constructed from permutation generators through build_group
 and carries expected metadata for self-checks.  Any group, from the catalog
-or not, yields one context per coclass of its directly solved multiplier;
-groups above the multiplier cap expose the trivial coclass only.
+or a file, yields one context per coclass of its directly solved multiplier.
+``group_contexts`` is where the H^2 cap is compared for a sweep or a
+context: a group above it exposes the trivial coclass only.
 
 The entries are plain data, so listing them imports no numpy; the group and
 context constructors import the compute layers when they are called.
@@ -16,7 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from .errors import CrossCheckMismatch, UnknownGroup
-from .tolerances import DEFAULT_H2_CAP, DEFAULT_ORDER_CAP
+from .tolerances import DEFAULT_H2_CAP
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -150,8 +151,7 @@ class CatalogEntry:
 def _perm_entry(name, order, solvable, gens, points=None, notes=""):
     def build():
         from .groups import build_group
-        return build_group(gens, name=name, points=points,
-                           cap=DEFAULT_ORDER_CAP)
+        return build_group(gens, name=name, points=points)
     return CatalogEntry(name=name, order=order, solvable=solvable,
                         build=build, notes=notes)
 
@@ -240,7 +240,7 @@ def get_group(name: str) -> FiniteGroup:
     return _GROUPS[name]
 
 
-def resolve_group(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def resolve_group(name: str) -> FiniteGroup:
     """A catalog name, or a path to a group JSON file."""
     try:
         return get_group(name)
@@ -248,7 +248,7 @@ def resolve_group(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         p = Path(name)
         if p.exists():
             from .groups import load_group
-            return load_group(p, cap=order_cap)
+            return load_group(p)
         raise
 
 
@@ -269,4 +269,4 @@ def group_contexts(G: FiniteGroup,
     if G.order > h2_cap:
         return [CoclassContext(G, trivial_cocycle(G), label="trivial")]
     return [CoclassContext(G, c.representative, label=c.label(), coclass=c)
-            for c in schur_multiplier(G, cap=h2_cap).coclasses()]
+            for c in schur_multiplier(G).coclasses()]

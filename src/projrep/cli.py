@@ -14,16 +14,25 @@ from pathlib import Path
 
 from .catalog import catalog
 from .errors import BadCoclassIndex, ProjrepError
-from .tolerances import CHECK_NAMES, DEFAULT_H2_CAP, DEFAULT_ORDER_CAP
+from .tolerances import CHECK_NAMES, DEFAULT_H2_CAP
+
+
+def positive(text: str) -> int:
+    """A positive integer read from the command line; argparse reports a
+    ValueError."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
+
 
 GLOBAL_OPTIONS = (
     ("--seed", int, 0, "Base seed for all randomized numerics."),
-    ("--h2-cap", int, DEFAULT_H2_CAP,
+    ("--h2-cap", positive, DEFAULT_H2_CAP,
      "Largest order for direct multiplier computation."),
-    ("--order-cap", int, DEFAULT_ORDER_CAP, "Largest admissible group order."),
     ("--out", Path, None, "Directory for JSONL results and the CSV summary."),
-    ("--jobs", int, 1, "Worker processes for verification sweeps, one group "
-                       "each, capped at the usable CPUs."),
+    ("--jobs", positive, 1, "Worker processes for verification sweeps, one "
+                            "group each, capped at the usable CPUs."),
 )
 
 
@@ -43,7 +52,7 @@ def _config(args):
     """The run configuration of a command on its group."""
     from .workbench import RunConfig
     return RunConfig(groups=[args.group], seed=args.seed, h2_cap=args.h2_cap,
-                     order_cap=args.order_cap, out=args.out, jobs=args.jobs)
+                     out=args.out, jobs=args.jobs)
 
 
 def catalog_cmd(args):
@@ -68,7 +77,7 @@ def multiplier(args):
     """Invariant factors and basis hashes of the multiplier."""
     from .catalog import resolve_group
     from .cohomology import multiplier_report
-    G = resolve_group(args.group, args.order_cap)
+    G = resolve_group(args.group)
     print(json.dumps(multiplier_report(G, h2_cap=args.h2_cap),
                      sort_keys=True))
 

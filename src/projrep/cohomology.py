@@ -692,7 +692,7 @@ def _crt(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (m, x % m)
 
 
-def _sylow_multiplier_is_trivial(G: FiniteGroup, p: int, cap: int) -> bool:
+def _sylow_multiplier_is_trivial(G: FiniteGroup, p: int) -> bool:
     """True iff a Sylow p-subgroup P < G has a trivial multiplier.
 
     M(G)_p embeds in M(P) (Cartan-Eilenberg, *Homological Algebra*, XII
@@ -700,22 +700,22 @@ def _sylow_multiplier_is_trivial(G: FiniteGroup, p: int, cap: int) -> bool:
     p-subgroup, so its multiplier is solved directly.
     """
     P = sylow_subgroup(G, p)
-    return P.order < G.order and schur_multiplier(P.as_group(), cap).order == 1
+    return P.order < G.order and schur_multiplier(P.as_group()).order == 1
 
 
-def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultiplier:
-    """The Schur multiplier of G with solver context, for |G| <= cap.
+def schur_multiplier(G: FiniteGroup) -> SchurMultiplier:
+    """The Schur multiplier of G with solver context.
 
     Only primes p with p^2 | |G| are solved, and of those only the ones
     whose Sylow multiplier is nontrivial; if none is left, no lift is built.
+    The H^2 cap is compared where a group enters (``multiplier_report`` and
+    ``catalog.group_contexts``), not here.
     """
-    if G.order > cap:
-        raise GroupTooLargeForH2(f"|{G.name}| = {G.order} exceeds cap {cap}")
     if "schur" in G._cache:
         return G._cache["schur"]
     n = G.order
     levels = {p: e // 2 for p, e in factorize(n).items()
-              if e // 2 and not _sylow_multiplier_is_trivial(G, p, cap)}
+              if e // 2 and not _sylow_multiplier_is_trivial(G, p)}
     parts: dict[int, list[tuple[int, np.ndarray]]] = {}
     if levels:
         L, FL = _generator_lift(G)
@@ -770,7 +770,12 @@ def schur_multiplier(G: FiniteGroup, cap: int = DEFAULT_H2_CAP) -> SchurMultipli
 
 
 def multiplier_report(G: FiniteGroup, h2_cap: int = DEFAULT_H2_CAP) -> dict:
-    mult = schur_multiplier(G, cap=h2_cap)
+    """Invariants and basis hashes of M(G), for a group of order at most
+    h2_cap."""
+    if G.order > h2_cap:
+        raise GroupTooLargeForH2(
+            f"|{G.name}| = {G.order} exceeds cap {h2_cap}")
+    mult = schur_multiplier(G)
     return {
         "group": G.name,
         "invariants": mult.invariants,
@@ -829,7 +834,7 @@ class Coclass:
         return f"Coclass({self.multiplier.group.name}, {self.label()})"
 
 
-def restrict_coclass(c: Coclass, H: Subgroup, cap: int = DEFAULT_H2_CAP) -> Coclass:
+def restrict_coclass(c: Coclass, H: Subgroup) -> Coclass:
     """The class of the restricted representative inside H's multiplier.
 
     Restriction to all of G is the identity, so it is resolved in c's own
@@ -839,7 +844,7 @@ def restrict_coclass(c: Coclass, H: Subgroup, cap: int = DEFAULT_H2_CAP) -> Cocl
     if H.order == H.parent.order:
         mult_H = c.multiplier
     else:
-        mult_H = schur_multiplier(H.as_group(), cap)
+        mult_H = schur_multiplier(H.as_group())
     vec = mult_H.resolve(rc.table, rc.modulus)
     return mult_H.coclass(vec)
 

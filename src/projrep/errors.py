@@ -10,7 +10,7 @@ class NotPermutation(ProjrepError):
 
 
 class ClosureTooLarge(ProjrepError):
-    """Group closure exceeded the configured order cap."""
+    """Permutation generators close into a group above ``groups.ORDER_CAP``."""
 
 
 class NotNormal(ProjrepError):
@@ -34,7 +34,8 @@ class ModulusMismatch(ProjrepError):
 
 
 class GroupTooLargeForH2(ProjrepError):
-    """Group order exceeds the configured multiplier computation cap."""
+    """A multiplier report asks for a group above the H^2 cap
+    (``--h2-cap``)."""
 
 
 class NotCentral(ProjrepError):

@@ -32,7 +32,8 @@ from .errors import (
     NotPiSeparable,
     ParseError,
 )
-from .tolerances import DEFAULT_ORDER_CAP
+
+ORDER_CAP = 200  # largest group build_group closes, from a file or not
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -148,15 +149,14 @@ class FiniteGroup:
             raise ValueError("Cayley table columns are not permutations")
         if not np.all(self.mul[self.inv, rng] == 0) or not np.all(self.mul[rng, self.inv] == 0):
             raise ValueError("inverse law fails")
-        if n <= 256:
-            # (ab)c == a(bc) on all triples, chunked over a so that each
-            # chunk holds about 32k entries
-            step = max(1, 32768 // max(n * n, 1))
-            for a0 in range(0, n, step):
-                a1 = min(n, a0 + step)
-                if not np.array_equal(self.mul[self.mul[a0:a1]],
-                                      self.mul[a0:a1][:, self.mul]):
-                    raise ValueError("Cayley table is not associative")
+        # (ab)c == a(bc) on all triples, chunked over a so that each chunk
+        # holds about 32k entries
+        step = max(1, 32768 // max(n * n, 1))
+        for a0 in range(0, n, step):
+            a1 = min(n, a0 + step)
+            if not np.array_equal(self.mul[self.mul[a0:a1]],
+                                  self.mul[a0:a1][:, self.mul]):
+                raise ValueError("Cayley table is not associative")
         if closure(self, [0] + self.generators).size != n:
             raise ValueError("generators do not generate the group")
 
@@ -192,12 +192,6 @@ class FiniteGroup:
             orders.setflags(write=False)
             self._cache["orders"] = orders
         return self._cache["orders"]
-
-    def exponent(self) -> int:
-        out = 1
-        for k in sorted_unique(self.element_orders()):
-            out = out * int(k) // _gcd(out, int(k))
-        return out
 
     def is_abelian(self) -> bool:
         if "abelian" not in self._cache:
@@ -259,12 +253,6 @@ def _derived_group(mul: np.ndarray, name: str) -> FiniteGroup:
     return group
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # -- permutation closure -------------------------------------------------
 
 
@@ -279,9 +267,10 @@ def _as_perm(seq, points: int) -> tuple[int, ...]:
     return tuple(v - 1 for v in imgs)
 
 
-def build_group(generators, name: str = "G", points: int | None = None,
-                cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Close a list of permutations (1-based image lists) into a group.
+def build_group(generators, name: str = "G",
+                points: int | None = None) -> FiniteGroup:
+    """Close a list of permutations (1-based image lists) into a group of
+    order at most ``ORDER_CAP``.
 
     Element 0 is the identity; the remaining elements are ordered by BFS
     from the identity, right-multiplying by the generators in input order.
@@ -300,9 +289,9 @@ def build_group(generators, name: str = "G", points: int | None = None,
         for g in perms:
             y = tuple(g[v] for v in x)
             if y not in index:
-                if len(elems) >= cap:
+                if len(elems) >= ORDER_CAP:
                     raise ClosureTooLarge(
-                        f"closure of {name!r} exceeds cap {cap}")
+                        f"closure of {name!r} exceeds cap {ORDER_CAP}")
                 index[y] = len(elems)
                 elems.append(y)
         i += 1
@@ -336,46 +325,23 @@ def build_group(generators, name: str = "G", points: int | None = None,
 # -- group JSON ---------------------------------------------------------------
 
 
-def parse_group_json(doc: dict, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def parse_group_json(doc: dict) -> FiniteGroup:
+    """The group a document's generators close into; other keys are ignored."""
     try:
         name = str(doc["name"])
         points = int(doc["points"])
         gens = [list(map(int, g)) for g in doc["generators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad group document: {exc}") from exc
-    if "cayley" not in doc:
-        return build_group(gens, name=name, points=points, cap=cap)
-    # canonical export path: the table is authoritative, the generators are
-    # its right-regular permutations and must agree with it
-    if points > cap:
-        raise ClosureTooLarge(f"group of order {points} exceeds cap {cap}")
-    try:
-        mul = np.asarray(doc["cayley"], dtype=np.int64).reshape(points, points)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad cayley table: {exc}") from exc
-    gen_idx = []
-    for p in gens:
-        if len(p) != points:
-            raise ParseError("generator length does not match points")
-        g = p[0] - 1
-        if not 0 <= g < points:
-            raise ParseError("generator image out of range")
-        if not np.array_equal(np.asarray(p, dtype=np.int64) - 1, mul[:, g]):
-            raise ParseError("generator permutation disagrees with the table")
-        gen_idx.append(g)
-    try:
-        return FiniteGroup(mul, name=name,
-                           generators=[g for g in gen_idx if g] or [0])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return build_group(gens, name=name, points=points)
 
 
-def load_group(path, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def load_group(path) -> FiniteGroup:
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read group file {path}: {exc}") from exc
-    return parse_group_json(doc, cap=cap)
+    return parse_group_json(doc)
 
 
 # -- subgroups -----------------------------------------------------------
@@ -485,15 +451,8 @@ def conjugacy_classes(G: FiniteGroup) -> list["ConjClass"]:
                 f"class of {x} has size {members.size} not dividing {n}")
         out.append(ConjClass(representative=x, members=members,
                              centralizer_order=cent))
-    # "class_of" first: class_of() reads it once "classes" is present
-    G._cache["class_of"] = assigned
     G._cache["classes"] = out
     return out
-
-
-def class_of(G: FiniteGroup) -> np.ndarray:
-    conjugacy_classes(G)
-    return G._cache["class_of"]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .cohomology import (
     pi_part,
     restrict_coclass,
 )
-from .errors import GroupTooLargeForH2, NotPiSeparable, ReconstructionFailure
+from .errors import NotPiSeparable, ReconstructionFailure
 from .groups import (
     FiniteGroup,
     PiSet,
@@ -54,7 +54,7 @@ from .reps import (
     split_regular,
     tensor_reps,
 )
-from .tolerances import DEFAULT_H2_CAP, TOL_DEFECT
+from .tolerances import TOL_DEFECT
 from .twisted import TwistedAlgebra, c_regular_classes, wedderburn
 
 
@@ -170,8 +170,7 @@ def _inapplicable(name, ctx, param, reason):
 # -- counting, divisibility, and the Hall restriction criterion -------------
 
 
-def verify_basic(ctx: CoclassContext,
-                 h2_cap: int = DEFAULT_H2_CAP) -> CheckResult:
+def verify_basic(ctx: CoclassContext) -> CheckResult:
     """Degree formula, class counting, order divisibilities, prime chain,
     and the three-way Hall restriction criterion."""
     G = ctx.group
@@ -195,12 +194,8 @@ def verify_basic(ctx: CoclassContext,
         H = hall_subgroup(G, pi)
         side_order = pi.part(o) == 1          # Pi(c) inside pi'
         sides = [side_order, ctx.restriction_trivial(H)]
-        if ctx.coclass is not None and H.order <= h2_cap:
-            try:
-                sides.append(restrict_coclass(ctx.coclass, H,
-                                              cap=h2_cap).is_trivial())
-            except GroupTooLargeForH2:
-                pass
+        if ctx.coclass is not None:
+            sides.append(restrict_coclass(ctx.coclass, H).is_trivial())
         ok = len(set(sides)) == 1
         checks[f"hall_criterion_{pi.label()}"] = ok
         hall_tested += 1

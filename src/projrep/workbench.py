@@ -8,10 +8,10 @@ Cayley table, so identical configurations produce byte-identical reports at
 any number of workers.
 
 This module imports every compute layer at module level; the command line
-imports it only inside the commands that compute.  ``resolve_group``,
-``parse_group_json``, ``load_group`` and ``multiplier_report`` live with the
-layers they need (catalog, groups, cohomology), so ``projrep multiplier``
-loads no representation layer; they are re-exported here.
+imports it only inside the commands that compute.  ``resolve_group`` and
+``multiplier_report`` live with the layers they need (catalog, cohomology),
+so ``projrep multiplier`` loads no representation layer; they are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -26,22 +26,8 @@ from pathlib import Path
 from .catalog import catalog, group_contexts, resolve_group
 from .cohomology import multiplier_report
 from .errors import ConfigError
-from .groups import (
-    FiniteGroup,
-    PiSet,
-    default_pi_sets,
-    is_solvable,
-    load_group,
-    o_pi,
-    parse_group_json,
-    prime_divisors,
-)
-from .tolerances import (
-    CHECK_NAMES,
-    DEFAULT_H2_CAP,
-    DEFAULT_ORDER_CAP,
-    TOLERANCES,
-)
+from .groups import PiSet, default_pi_sets, is_solvable, o_pi, prime_divisors
+from .tolerances import CHECK_NAMES, DEFAULT_H2_CAP, TOLERANCES
 from .twisted import wedderburn
 from .verify import (
     CheckResult,
@@ -65,15 +51,14 @@ class RunConfig:
     pi_sets: list[PiSet] | None = None
     seed: int = 0
     h2_cap: int = DEFAULT_H2_CAP
-    order_cap: int = DEFAULT_ORDER_CAP
     out: Path | None = None
     jobs: int = 1
 
     def validate(self) -> None:
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        if self.h2_cap < 1 or self.order_cap < 1:
-            raise ConfigError("caps must be positive")
+        if self.h2_cap < 1:
+            raise ConfigError("h2_cap must be at least 1")
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}; "
@@ -93,8 +78,7 @@ def _task_seed(seed: int, *parts: str) -> int:
 
 
 def contexts_for(name: str, config: RunConfig) -> list[CoclassContext]:
-    ctxs = group_contexts(resolve_group(name, config.order_cap),
-                          h2_cap=config.h2_cap)
+    ctxs = group_contexts(resolve_group(name), h2_cap=config.h2_cap)
     for ctx in ctxs:
         ctx.seed = _task_seed(config.seed, name, ctx.label)
     return ctxs
@@ -109,7 +93,7 @@ def _check_tasks(name: str, ctxs, config: RunConfig):
         pis = default_pi_sets(G.order)
     for ctx in ctxs:
         if "basic" in config.checks:
-            yield lambda c=ctx: [verify_basic(c, h2_cap=config.h2_cap)]
+            yield lambda c=ctx: [verify_basic(c)]
         if "ito-michler" in config.checks:
             for p in primes:
                 yield lambda c=ctx, q=p: [verify_ito_michler(c, q)]
@@ -257,19 +241,4 @@ def regular_classes_report(ctx: CoclassContext) -> dict:
         "representatives": data.regular_representatives(),
         "cocycle_hash": ctx.cocycle.hash_hex(),
         "seed": ctx.seed,
-    }
-
-
-# -- group JSON ---------------------------------------------------------------
-
-
-def export_group(G: FiniteGroup) -> dict:
-    """Canonical export: right-regular generator permutations plus the
-    flat row-major Cayley table.  Reloading reproduces the table exactly."""
-    gens = [(G.mul[:, g] + 1).tolist() for g in (G.gen_set() or [0])]
-    return {
-        "name": G.name,
-        "points": G.order,
-        "generators": gens,
-        "cayley": [int(v) for v in G.mul.reshape(-1)],
     }

@@ -24,6 +24,7 @@ from projrep.cohomology import (
     inflate_coclass,
     is_trivial_coclass,
     kernel_mod_prime_power,
+    multiplier_report,
     pi_part,
     restrict_coclass,
     schur_multiplier,
@@ -259,8 +260,8 @@ def test_schur_exponent_squared_divides_order(v4, d4g, s4g, a4g):
 
 
 def test_schur_cap(sl25g):
-    with pytest.raises(GroupTooLargeForH2):
-        schur_multiplier(sl25g)
+    with pytest.raises(GroupTooLargeForH2, match="exceeds cap 60"):
+        multiplier_report(sl25g, 60)
 
 
 def test_d4_nontrivial_degrees(d4g):
@@ -861,7 +862,7 @@ def test_c2xa5_multiplier_stays_narrow_at_cap_200():
     G = entry("C2xA5").build()
     tracemalloc.start()
     try:
-        mult = schur_multiplier(G, cap=200)
+        mult = schur_multiplier(G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -957,7 +958,7 @@ def test_catalog_multipliers_are_pinned():
 ])
 def test_multipliers_past_the_default_cap(name, expect):
     from projrep.catalog import get_group
-    assert schur_multiplier(get_group(name), cap=120).invariants == expect
+    assert schur_multiplier(get_group(name)).invariants == expect
 
 
 def test_catalog_multipliers_are_pinned_at_cap_200():
@@ -966,7 +967,7 @@ def test_catalog_multipliers_are_pinned_at_cap_200():
     h = hashlib.sha256()
     names = [e.name for e in catalog() if e.order <= 200]
     for name in names:
-        m = schur_multiplier(get_group(name), cap=200)
+        m = schur_multiplier(get_group(name))
         h.update(f"{name}:{m.invariants}".encode())
         for c in m.basis:
             h.update(f"{c.modulus}:".encode() + c.table.tobytes())
@@ -990,5 +991,5 @@ def test_trivial_sylow_multipliers_skip_the_solve(monkeypatch, name, cap):
         return lift(H)
 
     monkeypatch.setattr(cohomology, "_generator_lift", no_lift_of_G)
-    assert schur_multiplier(G, cap=cap).invariants == []
+    assert multiplier_report(G, cap)["invariants"] == []
     assert schur_multiplier(sylow_subgroup(G, 2).as_group()).invariants == []

@@ -97,8 +97,9 @@ def test_build_group_rejects_bad_perm():
 
 
 def test_build_group_cap():
-    with pytest.raises(ClosureTooLarge):
-        build_group(A5_GENS, cap=30)
+    # S6 has order 720, above the order cap of 200
+    with pytest.raises(ClosureTooLarge, match="exceeds cap 200"):
+        build_group([[2, 1, 3, 4, 5, 6], [2, 3, 4, 5, 6, 1]], name="S6")
 
 
 def test_group_axioms_validated(s4):
@@ -428,10 +429,11 @@ _LOOP5 = np.array([[0, 1, 2, 3, 4],
                    [4, 3, 1, 2, 0]])
 
 
-@pytest.mark.parametrize("k", [1, 4, 20, 40])
+@pytest.mark.parametrize("k", [1, 4, 20, 40, 52])
 def test_associativity_check_rejects_loops(k):
     # the loop times C_k passes every other check of _validate; only some
-    # triples fail associativity, spread over every chunk size
+    # triples fail associativity, spread over every chunk size, and tables
+    # above order 256 are checked too
     from projrep.groups import FiniteGroup
     a, i = np.divmod(np.arange(5 * k), k)
     mul = _LOOP5[a[:, None], a[None, :]] * k + (i[:, None] + i[None, :]) % k

@@ -58,7 +58,7 @@ def test_closure_order_against_sympy():
                                 for gen in gens])
         if sym.order() > 200:
             continue
-        G = build_group(gens, cap=720)
+        G = build_group(gens)
         assert G.order == sym.order()
 
 

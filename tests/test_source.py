@@ -353,3 +353,40 @@ def test_no_numpy_random_and_no_module_level_hashlib():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if names_numpy_random(node) or imports_unused(node)]
     assert found == []
+
+
+def test_size_bounds_are_read_where_input_enters():
+    # the H^2 cap is compared with an order only where a group enters a
+    # sweep or the multiplier command; the solvers below solve what they are
+    # given, and the order cap is groups.ORDER_CAP, read by build_group
+    import inspect
+
+    from projrep import catalog, cohomology, groups, verify
+
+    def names_cap(node):
+        name = getattr(node, "attr", None) or getattr(node, "id", "")
+        return "cap" in name.lower() and name != "ORDER_CAP"
+
+    def reads_order(node):
+        return isinstance(node, ast.Attribute) and node.attr == "order"
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            for node in ast.walk(f):
+                if isinstance(node, ast.Compare):
+                    sides = [node.left, *node.comparators]
+                    if any(map(names_cap, sides)) and \
+                            any(map(reads_order, sides)):
+                        found.append(f"{path.stem}.{f.name}")
+    assert sorted(found) == ["catalog.group_contexts",
+                             "cohomology.multiplier_report"]
+    for fn in (cohomology.schur_multiplier, cohomology.restrict_coclass,
+               verify.verify_basic, groups.build_group,
+               groups.parse_group_json, groups.load_group,
+               catalog.resolve_group):
+        params = inspect.signature(fn).parameters
+        assert not [p for p in params if "cap" in p], fn.__name__

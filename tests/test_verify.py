@@ -55,9 +55,9 @@ def test_basic_default_cap_reaches_hall_subgroups_above_24(monkeypatch):
     real = verify.restrict_coclass
     orders = []
 
-    def counted(c, H, cap):
+    def counted(c, H):
         orders.append(H.order)
-        return real(c, H, cap=cap)
+        return real(c, H)
 
     monkeypatch.setattr(verify, "restrict_coclass", counted)
     r = verify_basic(ctx_of("E27+", 1))
