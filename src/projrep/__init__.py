@@ -20,9 +20,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 _EXPORTS = {
     "cohomology": (
-        "Cochain1", "Coclass", "Cocycle", "SchurMultiplier",
-        "cocycle_from_extension", "inflate_coclass", "is_trivial_coclass",
-        "pi_part", "restrict_coclass", "schur_multiplier", "trivial_cocycle",
+        "Coclass", "Cocycle", "SchurMultiplier", "cocycle_from_extension",
+        "is_trivial_coclass", "pi_part", "restrict_coclass",
+        "schur_multiplier", "trivial_cocycle",
     ),
     "groups": (
         "ConjClass", "FiniteGroup", "NormalSeries", "PiSet", "Quotient",

@@ -3,14 +3,20 @@
 Cocycles are stored additively: an integer table t with modulus m encodes the
 complex cocycle exp(2*pi*i*t/m).
 
-One exact test decides whether a class is trivial.  mu_n_exponents moves a
-table, complex or exponents, to a cohomologous mu_n-valued one (n = |G|)
-whose rows sum to zero, and that is trivial in H^2(G, C*) iff it is the
-coboundary of a Z/n-valued cochain: one congruence per Cayley-graph edge off
-a BFS tree, tested against a left annihilator computed once per group
+A Cocycle is exact: it is checked where it is built, with check=True, and
+restrict, power, mul and the multiplier basis keep it exact.  A complex
+table enters through Cocycle.from_units, the one place one is rounded: to
+the mu_n cocycle (n = |G|) of its class whose rows sum to zero.
+
+One exact test decides whether a class is trivial.  The mu_n form e of a
+cocycle (_edge_forms) has rows that sum to zero, so e = delta(l) forces
+n l = 0, and e is trivial in H^2(G, C*) iff it is the coboundary of a
+Z/n-valued cochain: one congruence per Cayley-graph edge off a BFS tree
+(_edges), tested against a left annihilator computed once per group
 (_coboundary_tests).  The test at p decides the p-part of the class alone.
-is_trivial_coclass and class_order ask it, unless the mu_n form is zero,
-and so do the multiplier's relations and resolve.
+is_trivial_coclass and class_order ask it, unless the form is zero on the
+edges, and so do the multiplier's relations and resolve.  None of them
+checks its cocycle again.
 
 The multiplier of G is assembled prime by prime: for each p with p^2 | |G|,
 q = p^floor(v_p(|G|)/2) bounds the exponent of the p-part, whose classes
@@ -360,7 +366,8 @@ class Cocycle:
     """A normalized 2-cocycle with values in the m-th roots of unity.
 
     The table holds exponents: the complex value at (x, y) is
-    exp(2*pi*i*table[x, y]/modulus).
+    exp(2*pi*i*table[x, y]/modulus).  With ``check`` it is refused with
+    CocycleMismatch unless normalized and a cocycle.
     """
 
     def __init__(self, group: FiniteGroup, modulus: int, table, check: bool = True):
@@ -374,9 +381,45 @@ class Cocycle:
         self.table.setflags(write=False)
         if check:
             if np.any(self.table[0]) or np.any(self.table[:, 0]):
-                raise ModulusMismatch("cocycle is not normalized")
+                raise CocycleMismatch("cocycle is not normalized")
             if not self.is_cocycle():
-                raise ModulusMismatch("table violates the cocycle identity")
+                raise CocycleMismatch("table violates the cocycle identity")
+
+    @classmethod
+    def from_units(cls, group: FiniteGroup, table) -> "Cocycle":
+        """The mu_n cocycle mod n = |G| of the class of a complex unit table.
+
+        With t(x, y) = arg/2pi and S(x) = sum_z t(x, z), summing the cocycle
+        identity over z gives n t(x, y) = S(x) + S(y) - S(xy) mod 1, so
+        e = n t + S(xy) - S(x) - S(y) is an integer table, and e/n is t minus
+        the coboundary of S/n (Schur; Karpilovsky, *Projective
+        Representations of Finite Groups*, 1985).  Raises CocycleMismatch on
+        a table more than ``TOL_UNIT`` off normalization, off the unit circle
+        or off mu_n, and on an e that fails the cocycle identity.
+        """
+        n = group.order
+        tab = np.asarray(table, dtype=np.complex128)
+        if tab.shape != (n, n):
+            raise ModulusMismatch("table shape does not match group order")
+        if max(np.max(np.abs(tab[0] - 1.0)),
+               np.max(np.abs(tab[:, 0] - 1.0))) > TOL_UNIT:
+            raise CocycleMismatch("cocycle is not normalized")
+        unit = float(np.max(np.abs(np.abs(tab) - 1.0)))
+        if unit > TOL_UNIT:
+            raise CocycleMismatch(f"cocycle values are {unit:.2e} off the "
+                                  "unit circle")
+        t = np.angle(tab) / (2 * np.pi)
+        s = t.sum(axis=1)
+        exact = n * t + s[group.mul] - s[:, None] - s[None, :]
+        e = np.rint(exact)
+        margin = float(np.max(np.abs(exact - e)))
+        if margin > TOL_UNIT:
+            raise CocycleMismatch(f"table is {margin:.2e} from a mu_{n} "
+                                  "cocycle")
+        e = e.astype(np.int64) % n
+        if not _satisfies_cocycle_identity(group, e, n):
+            raise CocycleMismatch("table violates the cocycle identity")
+        return cls(group, n, e, check=False)
 
     def is_cocycle(self) -> bool:
         return _satisfies_cocycle_identity(self.group, self.table,
@@ -421,24 +464,6 @@ class Cocycle:
 def trivial_cocycle(G: FiniteGroup, modulus: int | None = None) -> Cocycle:
     m = modulus if modulus is not None else max(G.order, 1)
     return Cocycle(G, m, np.zeros((G.order, G.order), dtype=np.int64), check=False)
-
-
-class Cochain1:
-    """A normalized 1-cochain (value 0 at the identity)."""
-
-    def __init__(self, group: FiniteGroup, modulus: int, values):
-        self.group = group
-        self.modulus = int(modulus)
-        vals = np.asarray(values, dtype=np.int64) % self.modulus
-        if vals.shape != (group.order,) or vals[0] != 0:
-            raise ModulusMismatch("bad 1-cochain")
-        self.values = vals
-
-    def coboundary(self) -> Cocycle:
-        """delta z (x, y) = z(x) + z(y) - z(xy)."""
-        v, mul, m = self.values, self.group.mul, self.modulus
-        tab = (v[:, None] + v[None, :] - v[mul]) % m
-        return Cocycle(self.group, m, tab, check=False)
 
 
 # -- the multiplier ----------------------------------------------------------
@@ -591,8 +616,8 @@ class SchurMultiplier:
         self.invariants = list(invariants)
         self.basis = list(basis)
         self.modulus = max(group.order, 1)
-        # the basis in mu_n form on the edges of _coboundary_tests, one
-        # column per slot, for resolve
+        # the basis in mu_n form on the edges (_edges), one column per
+        # slot, for resolve
         self._edge_basis = _edge_forms(group, np.stack(
             [_flat(c.table) for c in basis], axis=1), self.modulus) \
             if basis else None
@@ -636,21 +661,23 @@ class SchurMultiplier:
             out.append(self.coclass(tuple(reversed(v))))
         return out
 
-    def resolve(self, table: np.ndarray, modulus: int) -> tuple[int, ...]:
-        """Exponent vector of a valid cocycle table over the basis.
+    def resolve(self, c: Cocycle) -> tuple[int, ...]:
+        """Exponent vector of a cocycle of this multiplier's group over the
+        basis.
 
-        The table and the basis are read in mu_n form on the edges of
-        _coboundary_tests, and x is the answer iff e - sum_i x_i b_i passes
-        the test N_q at every prime power q = p^v of |G|.  Wherever p divides
-        an invariant, N_q B x = N_q e mod q fixes each x_i mod the p-part of
-        d_i; the parts are combined by CRT, and the answer is certified with
-        the class test itself.
+        c and the basis are read in mu_n form on the edges (_edges), and x
+        is the answer iff e - sum_i x_i b_i passes the test N_q at every
+        prime power q = p^v of |G|.  Wherever p divides an invariant,
+        N_q B x = N_q e mod q fixes each x_i mod the p-part of d_i; the
+        parts are combined by CRT, and the answer is certified with the
+        class test itself.
         """
         G = self.group
-        edges, tests = _coboundary_tests(G)
-        e = mu_n_exponents(G, table, modulus)[0][edges]
+        if c.group is not G:
+            raise ModulusMismatch("cocycle of a different group")
+        e = _edge_form(c)
         crt = [(1, 0)] * len(self.invariants)
-        for p, (v, N) in tests.items():
+        for p, (v, N) in _coboundary_tests(G).items():
             parts = [p ** _valuation(d, p) for d in self.invariants]
             if max(parts, default=1) == 1:
                 continue
@@ -661,8 +688,8 @@ class SchurMultiplier:
             if x is None:
                 raise CrossCheckMismatch(
                     f"the {G.name} basis does not span a class at {p}")
-            crt = [_crt(c, (dp, int(xi) % dp)) if dp > 1 else c
-                   for c, dp, xi in zip(crt, parts, x)]
+            crt = [_crt(a, (dp, int(xi) % dp)) if dp > 1 else a
+                   for a, dp, xi in zip(crt, parts, x)]
         vec = tuple(r for _, r in crt)
         if self.basis:
             e = e - self._edge_basis @ np.array(vec, dtype=np.int64)
@@ -732,7 +759,7 @@ def schur_multiplier(G: FiniteGroup) -> SchurMultiplier:
             # x is a relation iff the class of Z x is trivial, iff N E x = 0
             # mod p^v on the mu_n forms E: the tests at the other primes hold
             # since q [Z x] = 0, and for the same reason p^(v-k) divides N E
-            v, N = _coboundary_tests(G)[1][p]
+            v, N = _coboundary_tests(G)[p]
             NE = _matmul_mod(N, _edge_forms(G, Z, q), p**v)
             if np.any(NE % p ** (v - k)):
                 raise CrossCheckMismatch(
@@ -837,32 +864,13 @@ class Coclass:
 def restrict_coclass(c: Coclass, H: Subgroup) -> Coclass:
     """The class of the restricted representative inside H's multiplier.
 
-    Restriction to all of G is the identity, so it is resolved in c's own
-    multiplier instead of solving H.as_group(), the same table again.
+    Restriction to all of G is the identity, so c itself is returned
+    instead of solving H.as_group(), the same table again.
     """
-    rc = c.representative.restrict(H)
     if H.order == H.parent.order:
-        mult_H = c.multiplier
-    else:
-        mult_H = schur_multiplier(H.as_group())
-    vec = mult_H.resolve(rc.table, rc.modulus)
-    return mult_H.coclass(vec)
-
-
-def inflate_coclass(b: Coclass, quot: Quotient, mult_G: SchurMultiplier) -> Coclass:
-    """Pull a coclass of G/N back to G through the projection."""
-    cocycle_G = inflate_cocycle(b.representative, quot, mult_G.group)
-    vec = mult_G.resolve(cocycle_G.table, cocycle_G.modulus)
-    return mult_G.coclass(vec)
-
-
-def inflate_cocycle(c: Cocycle, quot: Quotient, G: FiniteGroup) -> Cocycle:
-    """Table pullback a(x, y) = a(Nx, Ny); exact inflation form."""
-    if quot.group is not c.group:
-        raise ModulusMismatch("cocycle does not live on the quotient")
-    proj = quot.projection
-    tab = c.table[np.ix_(proj, proj)]
-    return Cocycle(G, c.modulus, tab, check=False)
+        return c
+    mult_H = schur_multiplier(H.as_group())
+    return mult_H.coclass(mult_H.resolve(c.representative.restrict(H)))
 
 
 def pi_part(c: Coclass, pi) -> tuple[Coclass, Coclass]:
@@ -921,67 +929,17 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def mu_n_exponents(G: FiniteGroup, table: np.ndarray,
-                   modulus: int | None = None) -> tuple[np.ndarray, float]:
-    """A cohomologous cocycle with values in mu_n, n = |G|, and its margin.
-
-    ``table`` holds complex units, or exponents mod ``modulus``.  In turns,
-    t(x, y) = arg/2pi or a(x, y)/m; with S(x) = sum_z t(x, z), summing the
-    cocycle identity over z gives n t(x, y) = S(x) + S(y) - S(xy) mod 1, so
-    e = n t + S(xy) - S(x) - S(y) is an integer table, and e/n is t minus
-    the coboundary of S/n (Schur; Karpilovsky, *Projective Representations
-    of Finite Groups*, 1985).  Each row of e sums to 0, so e = delta(l)
-    forces n l = 0: e is trivial in H^2(G, C*) iff it is the coboundary of a
-    Z/n-valued cochain.  Exponent tables are exact (m must divide the
-    numerator of e); complex tables are rounded, and the worst rounding
-    distance is returned as the margin.  Raises CocycleMismatch on a complex
-    table more than ``TOL_UNIT`` off the unit circle or off mu_n, and on any
-    e that fails the cocycle identity.
-    """
-    n = G.order
-    if modulus is None:
-        tab = np.asarray(table, dtype=np.complex128)
-        if tab.shape != (n, n):
-            raise ModulusMismatch("table shape does not match group order")
-        unit = float(np.max(np.abs(np.abs(tab) - 1.0)))
-        if unit > TOL_UNIT:
-            raise CocycleMismatch(f"cocycle values are {unit:.2e} off the "
-                                  "unit circle")
-        t = np.angle(tab) / (2 * np.pi)
-        s = t.sum(axis=1)
-        exact = n * t + s[G.mul] - s[:, None] - s[None, :]
-        e = np.rint(exact)
-        margin = float(np.max(np.abs(exact - e)))
-        if margin > TOL_UNIT:
-            raise CocycleMismatch(f"table is {margin:.2e} from a mu_{n} "
-                                  "cocycle")
-        e = e.astype(np.int64) % n
-    else:
-        m = int(modulus)
-        a = np.asarray(table, dtype=np.int64) % m
-        if a.shape != (n, n):
-            raise ModulusMismatch("table shape does not match group order")
-        s = a.sum(axis=1)
-        num = n * a + s[G.mul] - s[:, None] - s[None, :]
-        if np.any(num % m):
-            raise CocycleMismatch(f"table is not a cocycle mod {m}")
-        e, margin = (num // m) % n, 0.0
-    if not _satisfies_cocycle_identity(G, e, n):
-        raise CocycleMismatch("table violates the cocycle identity")
-    return e, margin
-
-
 def _edge_forms(G: FiniteGroup, Z: np.ndarray, q: int) -> np.ndarray:
-    """The mu_n forms of Z/q cocycles on the edges of _coboundary_tests.
+    """The mu_n forms of Z/q cocycles on the edges (_edges).
 
     Z holds flat tables (as _flat) as columns.  For each, the form of
-    mu_n_exponents, e = (n a + S(xy) - S(x) - S(y)) / q with S the row sums,
-    is integer-linear in the lift of a, and reducing a mod q moves it by a
-    Z/n coboundary: so a combination of columns has the class of the same
-    combination of their forms.  Only S and the edge entries are read.
+    Cocycle.from_units, e = (n a + S(xy) - S(x) - S(y)) / q with S the row
+    sums, is integer-linear in the lift of a, and reducing a mod q moves it
+    by a Z/n coboundary: so a combination of columns has the class of the
+    same combination of their forms.  Only S and the edge entries are read.
     """
     n = G.order
-    edges, _ = _coboundary_tests(G)
+    edges = _edges(G)
     T = Z.reshape(n - 1, n - 1, Z.shape[1])
     S = np.zeros((n, Z.shape[1]), dtype=np.int64)
     S[1:] = T.sum(axis=1, dtype=np.int64)
@@ -993,8 +951,25 @@ def _edge_forms(G: FiniteGroup, Z: np.ndarray, q: int) -> np.ndarray:
     return num // q
 
 
-def _coboundary_tests(G: FiniteGroup) -> tuple[tuple, dict]:
-    """(edges, {p: (k, N)}): e in B^2(G, Z/n) iff N e[edges] = 0 mod p^k for
+def _edge_form(c: Cocycle) -> np.ndarray:
+    """The mu_n form of c on the edges, reduced mod n."""
+    G = c.group
+    return _edge_forms(G, _flat(c.table)[:, None], c.modulus)[:, 0] % G.order
+
+
+def _edges(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (y, g) of the right Cayley graph, y != 1 and g a distinct
+    nonidentity generator: edge (y, gens[b]) is coordinate (y - 1) r + b of
+    e[edges], r = |gens|."""
+    if "edges" not in G._cache:
+        gens = np.array(_generators(G), dtype=np.int64)
+        G._cache["edges"] = (np.repeat(np.arange(1, G.order), gens.size),
+                             np.tile(gens, G.order - 1))
+    return G._cache["edges"]
+
+
+def _coboundary_tests(G: FiniteGroup) -> dict:
+    """{p: (k, N)}: e in B^2(G, Z/n) iff N e[_edges(G)] = 0 mod p^k for
     every prime power p^k exactly dividing n.
 
     A normalized l: G -> Z/n with delta(l) = e is fixed by its values on the
@@ -1013,9 +988,8 @@ def _coboundary_tests(G: FiniteGroup) -> tuple[tuple, dict]:
     n = G.order
     gens = _generators(G)
     r = len(gens)
-    # edge (y, gens[b]), y != 1, is coordinate (y - 1) r + b of e[edges]
-    ys, bs = np.repeat(np.arange(1, n), r), np.tile(np.arange(r), n - 1)
-    edges = (ys, np.array(gens, dtype=np.int64)[bs])
+    edges = _edges(G)
+    ys, bs = edges[0], np.tile(np.arange(r), n - 1)
     # l(z) = coef[z] @ l(gens) + const[z] @ e[edges]
     coef = np.zeros((n, r), dtype=np.int64)
     const = np.zeros((n, ys.size), dtype=np.int64)
@@ -1043,33 +1017,30 @@ def _coboundary_tests(G: FiniteGroup) -> tuple[tuple, dict]:
             raise CrossCheckMismatch(f"an annihilator row fails w A = 0 mod {q}")
         N = _matmul_mod(ann, B, q)
         tests[p] = (k, N[np.any(N, axis=1)])
-    out = (edges, tests)
-    return G._cache.setdefault("coboundary_tests", out)
+    return G._cache.setdefault("coboundary_tests", tests)
 
 
 def _is_coboundary(G: FiniteGroup, v: np.ndarray) -> bool:
-    """True iff the entries v = e[edges] of a mu_n exponent table e, as
-    _coboundary_tests names them, are those of delta of a Z/n cochain."""
+    """True iff the entries v = e[_edges(G)] of a mu_n exponent table e
+    are those of delta of a Z/n cochain."""
     return not any(np.any(_matmul_mod(N, v[:, None], p**k))
-                   for p, (k, N) in _coboundary_tests(G)[1].items())
+                   for p, (k, N) in _coboundary_tests(G).items())
 
 
-def is_trivial_coclass(G: FiniteGroup, table: np.ndarray,
-                       modulus: int | None = None) -> bool:
-    """True iff the cocycle table (complex units, or exponents mod
-    ``modulus``) is a coboundary in C*: exact, with no eigen-solve.  A
-    table whose mu_n form is zero is trivial without the edge test."""
-    e = mu_n_exponents(G, table, modulus)[0]
-    return not e.any() or _is_coboundary(G, e[_coboundary_tests(G)[0]])
+def is_trivial_coclass(c: Cocycle) -> bool:
+    """True iff c is a coboundary in C*: exact, with no eigen-solve.  A
+    cocycle whose mu_n form is zero on the edges is trivial without the
+    edge test."""
+    e = _edge_form(c)
+    return not e.any() or _is_coboundary(c.group, e)
 
 
 def class_order(c: Cocycle) -> int:
     """Order of the class of c in H^2(G, C*): the least k dividing the
     modulus with c^k trivial, where k e represents c^k."""
     G = c.group
-    e = mu_n_exponents(G, c.table, c.modulus)[0]
+    e = _edge_form(c)
     if not e.any():
         return 1
-    e = e[_coboundary_tests(G)[0]]
     return next(k for k in _divisors(c.modulus)
                 if _is_coboundary(G, k * e % G.order))

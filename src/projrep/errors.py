@@ -30,7 +30,7 @@ class ComplementSearchExhausted(ProjrepError):
 
 
 class ModulusMismatch(ProjrepError):
-    """Cocycle tables have incompatible moduli or shapes."""
+    """Cocycle tables have incompatible moduli, shapes or groups."""
 
 
 class GroupTooLargeForH2(ProjrepError):
@@ -63,8 +63,9 @@ class CrossCheckMismatch(ProjrepError):
 
 
 class CocycleMismatch(ProjrepError):
-    """A table is not a cocycle, a complex one lies more than ``TOL_UNIT``
-    from an exact one, or representations do not share one."""
+    """A table is refused where it becomes a Cocycle: an exact one is not a
+    normalized cocycle, or a complex one lies more than ``TOL_UNIT`` from
+    one (``Cocycle.from_units``); or representations do not share one."""
 
 
 class InertiaMismatch(ProjrepError):

@@ -344,23 +344,6 @@ def is_inertial(r: ProjRep, N: Subgroup, g: int, A: TwistedAlgebra) -> bool:
     return hom_dim(r, conjugate_rep(r, N, g, A)) == 1
 
 
-def transport_rep(r: ProjRep, H: Subgroup, g: int,
-                  A: TwistedAlgebra) -> tuple[ProjRep, Subgroup]:
-    """Move a representation of H to one of H^g = g^-1 H g.
-
-    y -> conj(twist(x, g)) phi(x) for x = y^(g^-1), since g sigma y sigma
-    (g sigma)^-1 = conj(twist(x, g)) x sigma; the result lives over the
-    restricted cocycle of the conjugate subgroup.
-    """
-    G = A.group
-    Ht = Subgroup(G, G.mul[G.mul[G.inv[g], H.elements], g])
-    y = Ht.elements
-    x = G.mul[G.mul[g, y], G.inv[g]]  # y^(g^-1)
-    tw = np.conj(alpha_tilde(A, x, g))
-    mats = tw[:, None, None] * r.matrices[H.positions()[x]]
-    return ProjRep(Ht.as_group(), A.table[np.ix_(y, y)], mats), Ht
-
-
 def inertia_group(r: ProjRep, N: Subgroup, A: TwistedAlgebra) -> Subgroup:
     """All g whose twisted conjugate of r is isomorphic to r.
 

@@ -3,7 +3,7 @@ twist, c-regular classes, center, and the Wedderburn block degrees.
 
 Unit-modulus cocycle values make every regular matrix unitary and the
 algebra star-closed, so all spectral work happens on Hermitian matrices;
-c-regularity is decided exactly, on the algebra's exponent table.
+c-regularity is decided exactly, on the algebra's exact cocycle.
 ``alpha_tilde`` is the one place a conjugation twist is formed, for this
 module and for the Clifford steps of reps.py.  Algebras are immutable;
 ``wedderburn`` is a pure function of (A, seed).
@@ -23,13 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import Cocycle, mu_n_exponents
-from .errors import (
-    CocycleMismatch,
-    CrossCheckMismatch,
-    DegreeNotIntegral,
-    NumericDegeneracy,
-)
+from .cohomology import Cocycle
+from .errors import CrossCheckMismatch, DegreeNotIntegral, NumericDegeneracy
 from .groups import FiniteGroup, Subgroup, conjugacy_classes
 from .tolerances import TOL_DEFECT, TOL_GAP, TOL_UNIT
 
@@ -55,40 +50,30 @@ def gaussians(seed: int, count: int) -> np.ndarray:
 class TwistedAlgebra:
     """C^c G on the basis {g sigma} with g sigma * h sigma = a(g,h) gh sigma.
 
-    ``exponents`` mod ``modulus`` is the cocycle's own exact table, or the
-    mu_n table of the same class that ``mu_n_exponents`` rounds a complex
-    table to."""
+    ``cocycle`` is the exact cocycle: the one it was built from, or the
+    mu_n cocycle of the same class that ``Cocycle.from_units`` rounds a
+    complex ``table`` to."""
 
     def __init__(self, group: FiniteGroup, table: np.ndarray):
-        tab = np.asarray(table, dtype=np.complex128)
-        if tab.shape != (group.order, group.order):
-            raise CocycleMismatch("cocycle table shape mismatch")
-        if max(np.max(np.abs(tab[0] - 1.0)),
-               np.max(np.abs(tab[:, 0] - 1.0))) > TOL_UNIT:
-            raise CocycleMismatch("cocycle is not normalized")
-        self._hold(group, tab, mu_n_exponents(group, tab)[0], group.order)
+        self._hold(Cocycle.from_units(group, table), table)
 
     @classmethod
     def from_cocycle(cls, c: Cocycle) -> "TwistedAlgebra":
         A = cls.__new__(cls)
-        A._hold(c.group, c.unit_table(), c.table, c.modulus)
+        A._hold(c, c.unit_table())
         return A
 
     def restrict(self, H: Subgroup) -> "TwistedAlgebra":
-        """The algebra of H under the restricted cocycle.  The restriction
-        of an exact exponent table is exact, so it is taken as it stands,
-        with this algebra's modulus, and nothing is rounded."""
-        if H.parent is not self.group:
-            raise CocycleMismatch("subgroup of a different group")
-        el = np.ix_(H.elements, H.elements)
+        """The algebra of H under the restricted cocycle, which is exact, so
+        nothing is rounded."""
         A = TwistedAlgebra.__new__(TwistedAlgebra)
-        A._hold(H.as_group(), self.table[el], self.exponents[el], self.modulus)
+        A._hold(self.cocycle.restrict(H),
+                self.table[np.ix_(H.elements, H.elements)])
         return A
 
-    def _hold(self, group: FiniteGroup, table: np.ndarray,
-              exponents: np.ndarray, modulus: int) -> None:
-        self.group, self.exponents, self.modulus = group, exponents, modulus
-        self.table = np.ascontiguousarray(table)
+    def _hold(self, cocycle: Cocycle, table: np.ndarray) -> None:
+        self.cocycle, self.group = cocycle, cocycle.group
+        self.table = np.ascontiguousarray(table, dtype=np.complex128)
         self.table.setflags(write=False)
         self._cache: dict = {}
 
@@ -184,7 +169,7 @@ def c_regular_classes(A: TwistedAlgebra) -> RegularClassData:
     if "c_regular" in A._cache:
         return A._cache["c_regular"]
     G = A.group
-    t = A.exponents
+    t, m = A.cocycle.table, A.cocycle.modulus
     g = np.arange(G.order)
     records = []
     for cls in conjugacy_classes(G):
@@ -194,7 +179,7 @@ def c_regular_classes(A: TwistedAlgebra) -> RegularClassData:
         np.add.at(vec, xg, alpha_tilde(A, x, g))
         vec /= cls.centralizer_order
         cent = np.nonzero(G.mul[:, x] == G.mul[x, :])[0]
-        regular = not np.any((t[x, cent] - t[cent, x]) % A.modulus)
+        regular = not np.any((t[x, cent] - t[cent, x]) % m)
         if regular != bool(np.max(np.abs(vec)) > TOL_UNIT):
             raise CrossCheckMismatch(
                 f"class-sum and centralizer criteria disagree at x={x}")

@@ -110,8 +110,7 @@ class CoclassContext:
 
     def restriction_trivial(self, H: Subgroup) -> bool:
         """Exact triviality of the restricted cocycle class."""
-        rc = self.restricted(H).cocycle
-        return is_trivial_coclass(rc.group, rc.table, rc.modulus)
+        return is_trivial_coclass(self.restricted(H).cocycle)
 
 
 @dataclass
@@ -245,7 +244,7 @@ def verify_clifford_laws(ctx: CoclassContext, N: Subgroup,
     pi_n = set(prime_divisors(N.order))
     pi_q = set(prime_divisors(J.order // N.order))
     if not (pi_n & pi_q) and set(prime_divisors(ctx.order)) <= pi_n:
-        checks["coprime_extension"] = is_trivial_coclass(quot_group, ext.b_table)
+        checks["coprime_extension"] = is_trivial_coclass(b_alg.cocycle)
     # pi'-degree members force J to contain a Hall pi-subgroup
     ps = prime_divisors(G.order)
     for pi in [PiSet([p]) for p in ps]:
@@ -573,17 +572,19 @@ def pi_decompose(V: ProjRep, pi: PiSet, ctx: CoclassContext
         Hp_loc.order == 1 or is_irreducible(restrict_rep(V_pip, Hp_loc))
     # cross restrictions are ordinary (trivial cocycle classes)
     checks["pip_on_hall_pi_ordinary"] = H_loc.order == 1 or \
-        is_trivial_coclass(H_loc.as_group(), restrict_rep(V_pip, H_loc).table)
+        is_trivial_coclass(Cocycle.from_units(
+            H_loc.as_group(), restrict_rep(V_pip, H_loc).table))
     checks["pi_on_hall_pip_ordinary"] = Hp_loc.order == 1 or \
-        is_trivial_coclass(Hp_loc.as_group(), restrict_rep(V_pi, Hp_loc).table)
+        is_trivial_coclass(Cocycle.from_units(
+            Hp_loc.as_group(), restrict_rep(V_pi, Hp_loc).table))
     # coclass identification against the symbolic pi-parts
     if ctx.coclass is not None:
         c_pi, c_pip = pi_part(ctx.coclass, pi)
         for nameq, part, rep in (("pi", c_pi, V_pi), ("pip", c_pip, V_pip)):
-            res_tab = part.representative.unit_table()[
-                np.ix_(J.elements, J.elements)]
-            checks[f"coclass_{nameq}_identified"] = is_trivial_coclass(
-                Jf, rep.table * np.conj(res_tab))
+            quotient = Cocycle.from_units(Jf, rep.table).mul(
+                part.representative.restrict(J).power(-1))
+            checks[f"coclass_{nameq}_identified"] = \
+                is_trivial_coclass(quotient)
         witnesses["c_pi_order"] = c_pi.order
         witnesses["c_pip_order"] = c_pip.order
     # degree identities

@@ -78,6 +78,7 @@ def _task_seed(seed: int, *parts: str) -> int:
 
 
 def contexts_for(name: str, config: RunConfig) -> list[CoclassContext]:
+    config.validate()
     ctxs = group_contexts(resolve_group(name), h2_cap=config.h2_cap)
     for ctx in ctxs:
         ctx.seed = _task_seed(config.seed, name, ctx.label)

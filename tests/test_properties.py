@@ -5,6 +5,7 @@ import pytest
 
 from projrep.catalog import catalog, coclass_contexts, get_group
 from projrep.cohomology import (
+    Cocycle,
     cocycle_from_extension,
     is_trivial_coclass,
     pi_part,
@@ -30,10 +31,11 @@ from projrep.reps import (
     restrict_rep,
     split_regular,
     decompose,
-    transport_rep,
 )
 from projrep.twisted import TwistedAlgebra
 from projrep.verify import _is_pi_prime_pi_pi_prime
+
+from conftest import transport_rep_reference
 
 
 def test_hall_higman_never_false_on_catalog():
@@ -84,7 +86,7 @@ def test_brute_force_mu4_classes_on_v4():
         placed = False
         for cls in classes:
             tj = np.exp(2j * np.pi * cocycles[cls[0]] / 4)
-            if is_trivial_coclass(G, ti * np.conj(tj)):
+            if is_trivial_coclass(Cocycle.from_units(G, ti * np.conj(tj))):
                 cls.append(i)
                 placed = True
                 break
@@ -94,7 +96,7 @@ def test_brute_force_mu4_classes_on_v4():
     # the solver context agrees with the numeric partition
     mult = schur_multiplier(G)
     for cls in classes:
-        vecs = {mult.resolve(cocycles[i], 4) for i in cls}
+        vecs = {mult.resolve(Cocycle(G, 4, cocycles[i])) for i in cls}
         assert len(vecs) == 1
 
 
@@ -166,7 +168,8 @@ def test_hall_part_restriction_injective():
                 diff = parts[i].mul(parts[j].inverse())
                 tab = diff.representative.unit_table()[
                     np.ix_(H.elements, H.elements)]
-                assert not is_trivial_coclass(H.as_group(), tab), \
+                assert not is_trivial_coclass(
+                    Cocycle.from_units(H.as_group(), tab)), \
                     (name, parts[i].label(), parts[j].label())
 
 
@@ -174,12 +177,13 @@ def test_split_extension_gives_trivial_class():
     V4 = get_group("C2xC2")
     Z = Subgroup(V4, [0, 1])
     c, quot = cocycle_from_extension(V4, Z)
-    assert is_trivial_coclass(quot.group, c.unit_table())
+    assert is_trivial_coclass(Cocycle.from_units(quot.group, c.unit_table()))
     # and the nonsplit covers give nontrivial ones (checked elsewhere too)
     Q8 = get_group("Q8")
     from conftest import center_subgroup
     cq, quotq = cocycle_from_extension(Q8, center_subgroup(Q8))
-    assert not is_trivial_coclass(quotq.group, cq.unit_table())
+    assert not is_trivial_coclass(Cocycle.from_units(quotq.group,
+                                                     cq.unit_table()))
 
 
 @pytest.mark.parametrize("gname,coclass_index", [
@@ -251,7 +255,7 @@ def test_mackey_constituent_multisets():
     Lg = L.as_group()
     A_L = TwistedAlgebra(Lg, A.table[np.ix_(L.elements, L.elements)])
     for t in reps_t:
-        Ut, Ht = transport_rep(U, H, t, A)
+        Ut, Ht = transport_rep_reference(U, H, t, A)
         inter = np.array(sorted(set(Ht.elements.tolist())
                                 & set(L.elements.tolist())))
         K_loc = Subgroup(Ht.as_group(), Ht.positions()[inter])

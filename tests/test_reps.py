@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from projrep import reps
 from projrep.cohomology import (
+    Cocycle,
     cocycle_from_extension,
     is_trivial_coclass,
     schur_multiplier,
@@ -123,7 +124,7 @@ def test_decompose_restriction_to_c2(v4_twisted_rep):
     # tr phi(x) = 0, so the restriction is two distinct linears
     C2 = Subgroup(A.group, closure(A.group, [1]))
     res = restrict_rep(r, C2)
-    assert is_trivial_coclass(C2.as_group(), res.table)
+    assert is_trivial_coclass(Cocycle.from_units(C2.as_group(), res.table))
     cons = decompose(res)
     assert [c.rep.degree for c in cons] == [1, 1]
     assert [c.multiplicity for c in cons] == [1, 1]
@@ -284,7 +285,8 @@ def test_clifford_extend_coprime(c6g):
         assert J.order == 6
         ext = clifford_extend(V, C3, J, A)
         # coprime indices: the quotient obstruction class is trivial
-        assert is_trivial_coclass(ext.quotient.group, ext.b_table)
+        assert is_trivial_coclass(Cocycle.from_units(ext.quotient.group,
+                                                     ext.b_table))
         W = factor_over_extension(ext.extension, ext)
         assert W.degree == 1
 

@@ -174,8 +174,7 @@ def test_one_twist_and_both_regular_actions_in_twisted():
     methods = {f.name for f in algebra.body if isinstance(f, ast.FunctionDef)}
     assert not methods & {"left_regular", "right_regular"}
     assert "right_action_matrix" in methods
-    for name in ("conjugate_rep", "transport_rep", "inertia_group",
-                 "c_regular_classes"):
+    for name in ("conjugate_rep", "inertia_group", "c_regular_classes"):
         called = {node.func.id for node in ast.walk(functions[name])
                   if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Name)}
@@ -292,9 +291,9 @@ def test_tolerance_names_imported_only_from_tolerances():
 
 def test_one_cocycle_identity_test():
     # one exact congruence on generator triples checks the cocycle identity,
-    # for Cocycle.is_cocycle and for mu_n_exponents, the one rounding of a
-    # complex table; the algebra's complex check and its tolerance are gone,
-    # and c-regularity reads no TOL_CHECK
+    # for Cocycle.is_cocycle and for Cocycle.from_units, the one rounding of
+    # a complex table; the algebra's complex check and its tolerance are
+    # gone, and c-regularity reads no TOL_CHECK
     path = PACKAGE / "cohomology.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     functions = {f.name: f for f in ast.walk(tree)
@@ -304,7 +303,7 @@ def test_one_cocycle_identity_test():
                      if isinstance(node, ast.Call)
                      and getattr(node.func, "id", None)
                      == "_satisfies_cocycle_identity")
-    assert callers == ["is_cocycle", "mu_n_exponents"]
+    assert callers == ["from_units", "is_cocycle"]
     assert "is_cocycle" not in {f.name for f in tree.body
                                 if isinstance(f, ast.FunctionDef)}
     twisted = (PACKAGE / "twisted.py").read_text()
@@ -319,6 +318,43 @@ def test_one_cocycle_identity_test():
     assert "TOL_CHECK" not in twisted
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if "TOL_COCYCLE" in path.read_text()] == []
+
+
+def test_one_exact_cocycle():
+    # a class decision reads one exact Cocycle, and a complex table is
+    # rounded in one place, Cocycle.from_units: the two-mode rounding and
+    # the algebra's loose exponent table are gone, TOL_UNIT is read there
+    # and in the class-sum cross-check only, and the class tests, the
+    # order and resolve take the cocycle alone
+    import inspect
+
+    from projrep.cohomology import (
+        SchurMultiplier,
+        class_order,
+        is_trivial_coclass,
+    )
+
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        assert "mu_n_exponents" not in source, path.name
+        assert ".exponents" not in source, path.name
+        if path.name == "tolerances.py":
+            continue
+
+        def visit(node, where):
+            if isinstance(node, ast.FunctionDef):
+                where = node.name
+            if isinstance(node, ast.Name) and node.id == "TOL_UNIT":
+                readers.add(f"{path.stem}.{where}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(source, filename=str(path)), "<module>")
+    assert readers == {"cohomology.from_units", "twisted.c_regular_classes"}
+    for f in (is_trivial_coclass, class_order, SchurMultiplier.resolve):
+        params = [p for p in inspect.signature(f).parameters if p != "self"]
+        assert params == ["c"], f.__name__
 
 
 def test_no_numpy_random_and_no_module_level_hashlib():

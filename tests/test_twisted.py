@@ -186,8 +186,8 @@ def test_complex_tables_round_once_or_are_refused(s4g):
     mult = schur_multiplier(s4g)
     c = mult.coclass([1]).representative
     A = TwistedAlgebra(s4g, c.unit_table())
-    assert A.modulus == s4g.order
-    assert mult.resolve(A.exponents, A.modulus) == (1,)
+    assert A.cocycle.modulus == s4g.order
+    assert mult.resolve(A.cocycle) == (1,)
     w = np.exp(2j * np.pi / 24)
     faults = [([(5, 7, np.exp(2j * np.pi * 1e-6))], "from a mu_24 cocycle"),
               ([(5, 7, 1 + 1e-6)], "off the unit circle"),

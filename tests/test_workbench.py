@@ -153,6 +153,14 @@ def test_run_config_validation():
     RunConfig().validate()
 
 
+@pytest.mark.parametrize("bad", [{"h2_cap": 0}, {"jobs": 0}])
+def test_contexts_for_validates_its_config(bad):
+    # a library caller's bad configuration is refused as run refuses it,
+    # not answered with the trivial context alone
+    with pytest.raises(ConfigError):
+        contexts_for("S4", RunConfig(groups=["S4"], **bad))
+
+
 def test_run_small_sweep(tmp_path):
     config = RunConfig(groups=["S3", "C6"], checks=["basic", "ito-michler"],
                        out=tmp_path / "r1", seed=7)
@@ -333,9 +341,9 @@ def test_compute_processes_map_no_numpy_random_and_no_openssl(tmp_path):
 
 EXPORTS = {
     "cohomology": [
-        "Cochain1", "Coclass", "Cocycle", "SchurMultiplier",
-        "cocycle_from_extension", "inflate_coclass", "is_trivial_coclass",
-        "pi_part", "restrict_coclass", "schur_multiplier", "trivial_cocycle"],
+        "Coclass", "Cocycle", "SchurMultiplier", "cocycle_from_extension",
+        "is_trivial_coclass", "pi_part", "restrict_coclass",
+        "schur_multiplier", "trivial_cocycle"],
     "groups": [
         "ConjClass", "FiniteGroup", "NormalSeries", "PiSet", "Quotient",
         "Subgroup", "build_group", "centralizer", "conjugacy_classes",
