@@ -3,8 +3,6 @@
 Every entry is constructed from permutation generators through build_group
 and carries expected metadata for self-checks.  Any group, from the catalog
 or a file, yields one context per coclass of its directly solved multiplier.
-``group_contexts`` is where the H^2 cap is compared for a sweep or a
-context: a group above it exposes the trivial coclass only.
 
 The entries are plain data, so listing them imports no numpy; the group and
 context constructors import the compute layers when they are called.
@@ -17,7 +15,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from .errors import CrossCheckMismatch, UnknownGroup
-from .tolerances import DEFAULT_H2_CAP
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -252,21 +249,15 @@ def resolve_group(name: str) -> FiniteGroup:
         raise
 
 
-def coclass_contexts(name: str,
-                     h2_cap: int = DEFAULT_H2_CAP) -> list[CoclassContext]:
+def coclass_contexts(name: str) -> list[CoclassContext]:
     """group_contexts of the catalog group called name."""
-    return group_contexts(get_group(name), h2_cap=h2_cap)
+    return group_contexts(get_group(name))
 
 
-def group_contexts(G: FiniteGroup,
-                   h2_cap: int = DEFAULT_H2_CAP) -> list[CoclassContext]:
-    """One context per coclass of G, lexicographic over the basis.
-
-    Groups over the multiplier cap yield only the trivial coclass.
-    """
-    from .cohomology import schur_multiplier, trivial_cocycle
+def group_contexts(G: FiniteGroup) -> list[CoclassContext]:
+    """One context per coclass of G, lexicographic over the basis: every
+    group, up to ``groups.ORDER_CAP``, gets its whole multiplier."""
+    from .cohomology import schur_multiplier
     from .verify import CoclassContext
-    if G.order > h2_cap:
-        return [CoclassContext(G, trivial_cocycle(G), label="trivial")]
     return [CoclassContext(G, c.representative, label=c.label(), coclass=c)
             for c in schur_multiplier(G).coclasses()]

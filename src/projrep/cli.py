@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .catalog import catalog
 from .errors import BadCoclassIndex, ProjrepError
-from .tolerances import CHECK_NAMES, DEFAULT_H2_CAP
+from .tolerances import CHECK_NAMES
 
 
 def positive(text: str) -> int:
@@ -28,8 +28,6 @@ def positive(text: str) -> int:
 
 GLOBAL_OPTIONS = (
     ("--seed", int, 0, "Base seed for all randomized numerics."),
-    ("--h2-cap", positive, DEFAULT_H2_CAP,
-     "Largest order for direct multiplier computation."),
     ("--out", Path, None, "Directory for JSONL results and the CSV summary."),
     ("--jobs", positive, 1, "Worker processes for verification sweeps, one "
                             "group each, capped at the usable CPUs."),
@@ -51,8 +49,8 @@ def primes(text: str) -> list[int]:
 def _config(args):
     """The run configuration of a command on its group."""
     from .workbench import RunConfig
-    return RunConfig(groups=[args.group], seed=args.seed, h2_cap=args.h2_cap,
-                     out=args.out, jobs=args.jobs)
+    return RunConfig(groups=[args.group], seed=args.seed, out=args.out,
+                     jobs=args.jobs)
 
 
 def catalog_cmd(args):
@@ -78,8 +76,7 @@ def multiplier(args):
     from .catalog import resolve_group
     from .cohomology import multiplier_report
     G = resolve_group(args.group)
-    print(json.dumps(multiplier_report(G, h2_cap=args.h2_cap),
-                     sort_keys=True))
+    print(json.dumps(multiplier_report(G), sort_keys=True))
 
 
 def degrees(args):

@@ -21,9 +21,11 @@ checks its cocycle again.
 The multiplier of G is assembled prime by prime: for each p with p^2 | |G|,
 q = p^floor(v_p(|G|)/2) bounds the exponent of the p-part, whose classes
 are those of Z^2(Z/q); a combination of cocycle generators is a relation iff
-the annihilator at p kills its mu_n form on the edges.  The p-part embeds in
-the multiplier of a Sylow p-subgroup (Cartan-Eilenberg, *Homological
-Algebra*, XII section 10), so p is skipped when that one is trivial.
+the annihilator at p kills its mu_n form on the edges.  Restriction embeds
+the p-part in the classes of M(P), P a Sylow p-subgroup, that N_G(P) fixes
+(Cartan-Eilenberg, *Homological Algebra*, XII section 10).  A nonzero fixed
+subgroup is a p-group, so it holds a fixed class of order p: p is skipped
+when N_G(P) fixes no class of order p in M(P) (_skips_prime).
 resolve solves the same congruences for the exponents over the basis and
 certifies the answer with the test itself.
 
@@ -59,7 +61,6 @@ import numpy as np
 from .errors import (
     CocycleMismatch,
     CrossCheckMismatch,
-    GroupTooLargeForH2,
     LiftOverflow,
     ModulusMismatch,
     NotCentral,
@@ -70,11 +71,12 @@ from .groups import (
     Quotient,
     Subgroup,
     centralizer_of_set,
+    closure,
     factorize,
     quotient_group,
     sylow_subgroup,
 )
-from .tolerances import DEFAULT_H2_CAP, TOL_UNIT
+from .tolerances import TOL_UNIT
 
 
 def _lcm(a: int, b: int) -> int:
@@ -719,30 +721,52 @@ def _crt(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (m, x % m)
 
 
-def _sylow_multiplier_is_trivial(G: FiniteGroup, p: int) -> bool:
-    """True iff a Sylow p-subgroup P < G has a trivial multiplier.
+def _skips_prime(G: FiniteGroup, p: int) -> bool:
+    """True iff a Sylow p-subgroup P < G shows M(G)_p = 1 (module doc).
 
-    M(G)_p embeds in M(P) (Cartan-Eilenberg, *Homological Algebra*, XII
-    section 10), so then p adds nothing to M(G).  P is its own Sylow
-    p-subgroup, so its multiplier is solved directly.
+    Each x in N_G(P) acts on Omega_1(M(P)) = F_p^r, spanned by the (d_i/p)
+    b_i, by a matrix A_x read with resolve.  P acts trivially (K. S. Brown,
+    *Cohomology of Groups*, III.8), so only the x that enlarge the group
+    generated by P and the x before them are read; p is skipped iff the
+    stacked A_x - I have no kernel mod p.
     """
     P = sylow_subgroup(G, p)
-    return P.order < G.order and schur_multiplier(P.as_group()).order == 1
+    if P.order == G.order:
+        return False
+    H, pos = P.as_group(), P.positions()
+    MP = schur_multiplier(H)
+    if not MP.invariants:
+        return True
+    step = np.array([d // p for d in MP.invariants])[:, None]
+    omega = [c.power(int(s)) for c, s in zip(MP.basis, step[:, 0])]
+    g = np.arange(G.order)[:, None]
+    normalizer = P.mask()[G.mul[G.mul[G.inv[g], P.elements], g]].all(axis=1)
+    seed, reached, rows = list(P.elements), P.mask(), []
+    for x in np.flatnonzero(normalizer):
+        if reached[x]:
+            continue
+        seed.append(x)
+        reached = np.isin(g[:, 0], closure(G, seed))
+        sigma = pos[G.mul[G.mul[x, P.elements], G.inv[x]]]
+        A = np.array([MP.resolve(Cocycle(H, c.modulus, c.table[np.ix_(
+            sigma, sigma)], check=False)) for c in omega]).T
+        if np.any(A % step):
+            raise CrossCheckMismatch(f"{H.name}: a conjugate leaves Omega_1")
+        rows.append(A // step - np.eye(len(omega), dtype=np.int64))
+    return bool(rows) and not kernel_mod_prime_power(np.vstack(rows), p, 1)
 
 
 def schur_multiplier(G: FiniteGroup) -> SchurMultiplier:
     """The Schur multiplier of G with solver context.
 
     Only primes p with p^2 | |G| are solved, and of those only the ones
-    whose Sylow multiplier is nontrivial; if none is left, no lift is built.
-    The H^2 cap is compared where a group enters (``multiplier_report`` and
-    ``catalog.group_contexts``), not here.
+    _skips_prime leaves; if none is left, no lift is built.
     """
     if "schur" in G._cache:
         return G._cache["schur"]
     n = G.order
     levels = {p: e // 2 for p, e in factorize(n).items()
-              if e // 2 and not _sylow_multiplier_is_trivial(G, p)}
+              if e // 2 and not _skips_prime(G, p)}
     parts: dict[int, list[tuple[int, np.ndarray]]] = {}
     if levels:
         L, FL = _generator_lift(G)
@@ -796,12 +820,8 @@ def schur_multiplier(G: FiniteGroup) -> SchurMultiplier:
     return G._cache.setdefault("schur", mult)
 
 
-def multiplier_report(G: FiniteGroup, h2_cap: int = DEFAULT_H2_CAP) -> dict:
-    """Invariants and basis hashes of M(G), for a group of order at most
-    h2_cap."""
-    if G.order > h2_cap:
-        raise GroupTooLargeForH2(
-            f"|{G.name}| = {G.order} exceeds cap {h2_cap}")
+def multiplier_report(G: FiniteGroup) -> dict:
+    """Invariants and basis hashes of M(G)."""
     mult = schur_multiplier(G)
     return {
         "group": G.name,

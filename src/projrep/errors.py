@@ -33,11 +33,6 @@ class ModulusMismatch(ProjrepError):
     """Cocycle tables have incompatible moduli, shapes or groups."""
 
 
-class GroupTooLargeForH2(ProjrepError):
-    """A multiplier report asks for a group above the H^2 cap
-    (``--h2-cap``)."""
-
-
 class NotCentral(ProjrepError):
     """Subgroup is not central in the extension."""
 

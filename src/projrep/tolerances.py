@@ -1,15 +1,15 @@
-"""Every numerical threshold of the package, in one table, and the default
-and names the command line shows.
+"""Every numerical threshold of the package, in one table, and the check
+names the command line shows.
 
 Degree integrality, class triviality and order, the cocycle identity and
 c-regularity need none: they are exact integer decisions, and ``TOL_UNIT``
 only bounds how far a complex table lies from the exact cocycle it is
 rounded to.  Reports carry ``TOLERANCES``.
 
-The H^2 cap's default and the check names are not thresholds and stay
-out of the table.  They live here, with no numpy import, so that
-``--help`` and the option defaults load no compute layer.  The order cap
-is no option: it is ``groups.ORDER_CAP``, read where a group is built.
+The check names are no thresholds and stay out of the table.  They live
+here, with no numpy import, so that ``--help`` loads no compute layer.  The
+order cap is no option: it is ``groups.ORDER_CAP``, read where a group is
+built, and every group up to it gets its whole multiplier.
 """
 
 TOL_GAP = 1e-8       # relative to the spectrum: eigen-clusters and ranks
@@ -26,6 +26,5 @@ TOLERANCES = {
     "check": TOL_CHECK,
 }
 
-DEFAULT_H2_CAP = 60  # largest order whose multiplier is solved directly
 CHECK_NAMES = ("basic", "ito-michler", "sylow-criterion", "pi-theorem",
                "clifford-laws", "a5-control", "decompose")

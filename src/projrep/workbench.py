@@ -27,7 +27,7 @@ from .catalog import catalog, group_contexts, resolve_group
 from .cohomology import multiplier_report
 from .errors import ConfigError
 from .groups import PiSet, default_pi_sets, is_solvable, o_pi, prime_divisors
-from .tolerances import CHECK_NAMES, DEFAULT_H2_CAP, TOLERANCES
+from .tolerances import CHECK_NAMES, TOLERANCES
 from .twisted import wedderburn
 from .verify import (
     CheckResult,
@@ -50,15 +50,12 @@ class RunConfig:
     primes: list[int] | None = None
     pi_sets: list[PiSet] | None = None
     seed: int = 0
-    h2_cap: int = DEFAULT_H2_CAP
     out: Path | None = None
     jobs: int = 1
 
     def validate(self) -> None:
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        if self.h2_cap < 1:
-            raise ConfigError("h2_cap must be at least 1")
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}; "
@@ -79,7 +76,7 @@ def _task_seed(seed: int, *parts: str) -> int:
 
 def contexts_for(name: str, config: RunConfig) -> list[CoclassContext]:
     config.validate()
-    ctxs = group_contexts(resolve_group(name), h2_cap=config.h2_cap)
+    ctxs = group_contexts(resolve_group(name))
     for ctx in ctxs:
         ctx.seed = _task_seed(config.seed, name, ctx.label)
     return ctxs
@@ -107,7 +104,7 @@ def _check_tasks(name: str, ctxs, config: RunConfig):
         if "clifford-laws" in config.checks:
             yield lambda c=ctx: _clifford_check(c)
         if "a5-control" in config.checks and name == "A5" \
-                and ctx.label in ("[0]", "trivial"):
+                and ctx.label == "[0]":
             yield lambda c=ctx: [verify_a5_negative_control(c)]
         if "decompose" in config.checks:
             yield lambda c=ctx: _decompose_check(c)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,6 @@ from projrep.cohomology import (
 from projrep.errors import (
     CocycleMismatch,
     CrossCheckMismatch,
-    GroupTooLargeForH2,
     LiftOverflow,
     ModulusMismatch,
     NotCentral,
@@ -49,7 +49,6 @@ from projrep.groups import (
     quotient_group,
     sylow_subgroup,
 )
-from projrep.tolerances import DEFAULT_H2_CAP
 from projrep.twisted import TwistedAlgebra, wedderburn
 
 from conftest import center_subgroup, cyclic_gens, dihedral_gens, direct_gens
@@ -279,8 +278,8 @@ def test_schur_exponent_squared_divides_order(v4, d4g, s4g, a4g):
 
 
 def test_schur_cap(sl25g):
-    with pytest.raises(GroupTooLargeForH2, match="exceeds cap 60"):
-        multiplier_report(sl25g, 60)
+    # no H^2 cap: the report solves a group of order 120 as it is given
+    assert multiplier_report(sl25g)["invariants"] == []
 
 
 def test_d4_nontrivial_degrees(d4g):
@@ -923,13 +922,13 @@ def test_is_cocycle_fails_on_a_single_bad_row(s4g):
 
 def test_generator_triples_decide_the_identity_on_the_catalog():
     # is_cocycle reads only the triples (x, y, g), g a generator; on every
-    # catalog group up to the multiplier cap it agrees with all triples, on
+    # catalog group up to order 60 it agrees with all triples, on
     # a cocycle shifted by a non-normalized coboundary and on that table
     # with one entry off, in the identity's row and column and beyond
     from projrep.catalog import catalog, get_group
     rng = np.random.default_rng(5)
     tables = 0
-    for name in [e.name for e in catalog() if e.order <= DEFAULT_H2_CAP]:
+    for name in [e.name for e in catalog() if e.order <= 60]:
         G = get_group(name)
         n = G.order
         basis = schur_multiplier(G).basis
@@ -994,11 +993,29 @@ def test_catalog_multipliers_are_pinned_at_cap_200():
         "f186f2273b2e888ffe66f7226363fa124d4a4c2b3e3d57620440ce825e069ab0")
 
 
-@pytest.mark.parametrize("name, cap", [("SL(2,3)", 60), ("SL(2,5)", 120)])
-def test_trivial_sylow_multipliers_skip_the_solve(monkeypatch, name, cap):
-    # a Sylow 2-subgroup of either is quaternion, with trivial multiplier,
-    # and 2 is the one prime whose square divides the order: M(G) is known
-    # to be trivial without a lift of G (its Sylow subgroup is solved)
+def _lifts_of(monkeypatch, G):
+    """The primes at which G's own cocycles are solved, filled in as
+    schur_multiplier(G) runs."""
+    solved = []
+    generators = cohomology._cocycle_generators
+
+    def record(L, FL, p, k):
+        if L.shape[0] == G.order - 1:
+            solved.append(p)
+        return generators(L, FL, p, k)
+
+    monkeypatch.setattr(cohomology, "_cocycle_generators", record)
+    return solved
+
+
+@pytest.mark.parametrize("name", ["SL(2,3)", "SL(2,5)", "C3xS3",
+                                  "C5xC5:C4"])
+def test_trivial_sylow_multipliers_skip_the_solve(monkeypatch, name):
+    # SL(2,3), SL(2,5): a Sylow 2-subgroup is quaternion, with trivial
+    # multiplier, and 2 is the one prime whose square divides the order.
+    # C3xS3, C5xC5:C4: M(P) = C_p for P = C_p x C_p, and N_G(P) acts on it
+    # by a determinant that is not 1, so it fixes no class.  Either way
+    # M(G) is trivial without a lift of G (its Sylow subgroups are solved)
     from projrep.catalog import entry
     G = entry(name).build()
     lift = cohomology._generator_lift
@@ -1009,5 +1026,64 @@ def test_trivial_sylow_multipliers_skip_the_solve(monkeypatch, name, cap):
         return lift(H)
 
     monkeypatch.setattr(cohomology, "_generator_lift", no_lift_of_G)
-    assert multiplier_report(G, cap)["invariants"] == []
-    assert schur_multiplier(sylow_subgroup(G, 2).as_group()).invariants == []
+    assert multiplier_report(G)["invariants"] == []
+    for p in factorize(G.order):
+        P = sylow_subgroup(G, p)
+        assert P.order < G.order and schur_multiplier(P.as_group()).order \
+            in (1, p)
+
+
+@pytest.mark.parametrize("name, solved", [
+    ("S3xS3", [2]),       # the inversions of either factor move M(C3xC3)
+    ("C2xA4", [2]),       # M(C2^3) = C2^3: the 3-cycle fixes one class
+    ("C3xSL(2,3)", [3]),  # N_G(C3xC3) adds a central C2, which fixes
+                          # M(C3xC3) = C3; and M(Q8) = 1
+])
+def test_sylow_parts_are_solved_only_where_the_normalizer_fixes_a_class(
+        monkeypatch, name, solved):
+    from projrep.catalog import entry
+    G = entry(name).build()
+    primes = _lifts_of(monkeypatch, G)
+    assert schur_multiplier(G).order == math.prod(solved)
+    assert primes == solved
+
+
+def _abelian_invariants(G):
+    """Invariant factors n_1 | ... | n_r of an abelian G, read off how many
+    elements have each p-power order."""
+    orders = G.element_orders()
+    parts = []
+    for p, e in factorize(G.order).items():
+        # p^s_j elements satisfy x^(p^j) = 1, and s_j = sum_i min(e_i, j)
+        s = [round(math.log(np.count_nonzero(p**j % orders == 0), p))
+             for j in range(e + 2)]
+        parts.append((p, [j for j in range(1, e + 1)
+                          for _ in range(2 * s[j] - s[j - 1] - s[j + 1])]))
+    width = max((len(exps) for _, exps in parts), default=0)
+    return [math.prod(p ** exps[t - width + len(exps)] for p, exps in parts
+                 if t - width + len(exps) >= 0) for t in range(width)]
+
+
+def _power_gens(n, r):
+    gens, points = cyclic_gens(n), n
+    for _ in range(r - 1):
+        gens, points = direct_gens(gens, points, cyclic_gens(n), n), points + n
+    return gens
+
+
+def test_abelian_multipliers_match_schur_closed_form():
+    # M(Z/n_1 + ... + Z/n_r) = sum_(i<j) Z/gcd(n_i, n_j) (I. Schur, J. reine
+    # angew. Math. 132, 1907); with n_1 | ... | n_r that is n_i taken r - i
+    # times, already in invariant-factor order
+    from projrep.catalog import catalog, get_group
+    groups = [get_group(e.name) for e in catalog()]
+    groups = [G for G in groups if G.is_abelian()] + [
+        build_group(_power_gens(n, r), name=f"C{n}^{r}")
+        for n, r in ((2, 4), (3, 4), (5, 3))]
+    assert len(groups) > 20
+    for G in groups:
+        ns = _abelian_invariants(G)
+        assert math.prod(ns) == G.order
+        expect = [n for i, n in enumerate(ns) for _ in range(len(ns) - 1 - i)]
+        assert schur_multiplier(G).invariants == [n for n in expect if n > 1], \
+            G.name

@@ -392,9 +392,9 @@ def test_no_numpy_random_and_no_module_level_hashlib():
 
 
 def test_size_bounds_are_read_where_input_enters():
-    # the H^2 cap is compared with an order only where a group enters a
-    # sweep or the multiplier command; the solvers below solve what they are
-    # given, and the order cap is groups.ORDER_CAP, read by build_group
+    # no order is compared with a cap but groups.ORDER_CAP, read by
+    # build_group: every group that loads gets its whole multiplier, and
+    # the solvers below solve what they are given
     import inspect
 
     from projrep import catalog, cohomology, groups, verify
@@ -418,9 +418,9 @@ def test_size_bounds_are_read_where_input_enters():
                     if any(map(names_cap, sides)) and \
                             any(map(reads_order, sides)):
                         found.append(f"{path.stem}.{f.name}")
-    assert sorted(found) == ["catalog.group_contexts",
-                             "cohomology.multiplier_report"]
-    for fn in (cohomology.schur_multiplier, cohomology.restrict_coclass,
+    assert found == []
+    for fn in (cohomology.schur_multiplier, cohomology.multiplier_report,
+               cohomology.restrict_coclass, catalog.group_contexts,
                verify.verify_basic, groups.build_group,
                groups.parse_group_json, groups.load_group,
                catalog.resolve_group):

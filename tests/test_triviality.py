@@ -283,8 +283,11 @@ def test_no_decision_builds_an_algebra(monkeypatch):
 
     monkeypatch.setattr(twisted.TwistedAlgebra, "__init__", refuse)
     ctx = coclass_contexts("C5xC5:C4")[0]
-    assert ctx.coclass is None and ctx.order == 1
-    assert ctx.restriction_trivial(sylow_subgroup(ctx.group, 5))
+    P = sylow_subgroup(ctx.group, 5)
+    # a restricted context holds no Coclass: its order is read off its table
+    res = ctx.restricted(P)
+    assert res.coclass is None and res.order == 1
+    assert ctx.order == 1 and ctx.restriction_trivial(P)
     for c in schur_multiplier(get_group("C6xC6")).coclasses():
         assert class_order(c.representative) == c.order
         assert is_trivial_coclass(Cocycle.from_units(

@@ -9,7 +9,6 @@ from projrep.cohomology import cocycle_from_extension, schur_multiplier, \
     trivial_cocycle
 from projrep.errors import CocycleMismatch
 from projrep.groups import conjugacy_classes
-from projrep.tolerances import DEFAULT_H2_CAP
 from projrep.twisted import (
     TwistedAlgebra,
     alpha_tilde,
@@ -167,9 +166,8 @@ def _c_regular_reference(G, table, modulus):
 
 def test_c_regular_flags_are_exact_on_every_coclass():
     from projrep.catalog import catalog, coclass_contexts
-    contexts = [ctx for e in catalog() if e.order <= DEFAULT_H2_CAP
-                for ctx in coclass_contexts(e.name)]
-    assert len(contexts) == 116
+    contexts = [ctx for e in catalog() for ctx in coclass_contexts(e.name)]
+    assert len(contexts) == 123
     for ctx in contexts:
         c = ctx.cocycle
         assert c_regular_classes(ctx.algebra).flags == \

@@ -82,24 +82,31 @@ def test_coclass_enumeration():
     assert ctxs[0].coclass.is_trivial()
     labels = [c.label for c in ctxs]
     assert labels == sorted(labels)  # lexicographic
-    # above-cap groups expose only the trivial class
+    # every group is solved in full: the Schur cover of A5 (order 120) has
+    # the one coclass of its trivial multiplier, with its Coclass
     big = coclass_contexts("SL(2,5)")
-    assert len(big) == 1 and big[0].label == "trivial"
-    # the order-60 simple group is solved directly at the default cap
+    assert [c.label for c in big] == ["[]"] and big[0].coclass.is_trivial()
     a5 = coclass_contexts("A5")
     assert [c.label for c in a5] == ["[0]", "[1]"]
 
 
-def test_a5_above_the_cap_has_only_the_trivial_coclass(monkeypatch, capsys):
-    from projrep.cli import entry as cli_entry
-    a5 = coclass_contexts("A5", h2_cap=48)
-    assert [c.label for c in a5] == ["trivial"]
-    monkeypatch.setattr(sys, "argv",
-                        ["projrep", "--h2-cap", "48", "multiplier", "A5"])
-    with pytest.raises(SystemExit) as info:
-        cli_entry()
-    assert info.value.code == 2
-    assert "exceeds cap 48" in capsys.readouterr().err
+def test_h2_cap_is_no_option(monkeypatch, capsys):
+    # no order bound on the multiplier: not as an option, not from the
+    # environment and not as a parameter
+    import dataclasses
+    import inspect
+
+    from projrep.catalog import group_contexts
+    from projrep.cohomology import multiplier_report
+    for fn in (coclass_contexts, group_contexts, multiplier_report):
+        assert list(inspect.signature(fn).parameters) in (["name"], ["G"])
+    assert "h2_cap" not in {f.name for f in
+                            dataclasses.fields(RunConfig)}
+    status, out, _ = _entry(monkeypatch, capsys, "--h2-cap", "120", "catalog")
+    assert (status, out) == (2, "")
+    monkeypatch.setenv("PROJREP_H2_CAP", "-1")
+    status, out, err = _entry(monkeypatch, capsys, "multiplier", "A5")
+    assert (status, err) == (0, "") and '"invariants": [2]' in out
 
 
 def test_catalog_groups_stay_out_of_the_registry():
@@ -153,7 +160,7 @@ def test_run_config_validation():
     RunConfig().validate()
 
 
-@pytest.mark.parametrize("bad", [{"h2_cap": 0}, {"jobs": 0}])
+@pytest.mark.parametrize("bad", [{"checks": ["nope"]}, {"jobs": 0}])
 def test_contexts_for_validates_its_config(bad):
     # a library caller's bad configuration is refused as run refuses it,
     # not answered with the trivial context alone
@@ -491,19 +498,19 @@ def test_cli_bad_primes_load_no_layer(tmp_path):
                              returncode=2) == [], args
 
 
-H2_CAP_0 = "argument --h2-cap: invalid positive value: '0'"
+JOBS_0 = "argument --jobs: invalid positive value: '0'"
 
 
 @pytest.mark.parametrize("argv, env, message", [
-    (["--h2-cap", "0", "degrees", "S4"], {}, H2_CAP_0),
-    (["--h2-cap", "0", "regular-classes", "S4"], {}, H2_CAP_0),
-    (["--h2-cap", "0", "decompose", "S4", "--pi", "2"], {}, H2_CAP_0),
-    (["--h2-cap", "0", "multiplier", "S4"], {}, H2_CAP_0),
-    (["--h2-cap", "0", "verify", "S4"], {}, H2_CAP_0),
-    (["degrees", "S4"], {"PROJREP_H2_CAP": "-1"},
-     "argument --h2-cap: invalid positive value: '-1'"),
-    (["decompose", "S4", "--pi", "2"], {"PROJREP_H2_CAP": "-1"},
-     "argument --h2-cap: invalid positive value: '-1'"),
+    (["--jobs", "0", "catalog"], {}, JOBS_0),
+    (["--jobs", "0", "regular-classes", "S4"], {}, JOBS_0),
+    (["--jobs", "0", "decompose", "S4", "--pi", "2"], {}, JOBS_0),
+    (["--jobs", "0", "multiplier", "S4"], {}, JOBS_0),
+    (["--jobs", "0", "verify", "S4"], {}, JOBS_0),
+    (["degrees", "S4"], {"PROJREP_JOBS": "-1"},
+     "argument --jobs: invalid positive value: '-1'"),
+    (["multiplier", "S4"], {"PROJREP_JOBS": "-1"},
+     "argument --jobs: invalid positive value: '-1'"),
     (["--jobs", "0", "degrees", "C2"], {},
      "argument --jobs: invalid positive value: '0'"),
     (["--jobs", "-3", "verify", "C2"], {},
@@ -513,9 +520,9 @@ H2_CAP_0 = "argument --h2-cap: invalid positive value: '0'"
 ])
 def test_cli_nonpositive_caps_and_jobs_are_usage_errors(monkeypatch, capsys,
                                                          argv, env, message):
-    # RunConfig.validate refuses a cap or a job count below 1, but only for
-    # verify and after numpy loads; the parser refuses both for every
-    # command, from the flag or the environment
+    # RunConfig.validate refuses a job count below 1, but only for verify
+    # and after numpy loads; the parser refuses it for every command, from
+    # the flag or the environment
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     status, out, err = _entry(monkeypatch, capsys, *argv)
@@ -527,11 +534,11 @@ def test_cli_nonpositive_values_load_no_layer(tmp_path, monkeypatch):
     heavy = ["numpy"] + [f"projrep.{m}" for m in (
         "cohomology", "groups", "reps", "twisted", "verify", "workbench")]
     cli = "from projrep.cli import entry; entry()"
-    for args in (["--h2-cap", "0", "degrees", "S4"],
+    for args in (["--jobs", "0", "multiplier", "S4"],
                  ["--jobs", "0", "degrees", "C2"]):
         assert _loaded_after(tmp_path, heavy, cli, args,
                              returncode=2) == [], args
-    monkeypatch.setenv("PROJREP_H2_CAP", "-1")
+    monkeypatch.setenv("PROJREP_JOBS", "-1")
     assert _loaded_after(tmp_path, heavy, cli, ["decompose", "S4", "--pi", "2"],
                          returncode=2) == []
 
@@ -554,8 +561,8 @@ def test_cli_group_file_past_the_order_cap(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_multiplier_above_the_default_cap(monkeypatch, capsys):
-    # the Schur cover of A5 has a trivial multiplier, solved at cap 120
-    status, out, err = _entry(monkeypatch, capsys, "--h2-cap", "120",
-                              "multiplier", "SL(2,5)")
+    # the Schur cover of A5 (order 120, past the H^2 cap of 60 there once
+    # was) has a trivial multiplier, read with no option
+    status, out, err = _entry(monkeypatch, capsys, "multiplier", "SL(2,5)")
     assert (status, err) == (0, "")
     assert '"invariants": []' in out
