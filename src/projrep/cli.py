@@ -92,7 +92,8 @@ def regular_classes_cmd(args):
 
 
 def verify(args):
-    """Run theorem checks; nonzero exit iff any applicable check fails."""
+    """Run theorem checks; nonzero exit iff any applicable check fails or
+    errs."""
     from .workbench import run
     from .groups import PiSet
     config = _config(args)
@@ -104,8 +105,10 @@ def verify(args):
         config.pi_sets = [PiSet(args.pi)]
     status, results = run(config)
     for r in results:
+        error = f"  {r.witnesses['error']}: {r.reason}" \
+            if r.verdict == "error" else ""
         print(f"{r.verdict.upper():13s} {r.name:22s} {r.group:10s} "
-              f"c={r.coclass:8s} {r.param}")
+              f"c={r.coclass:8s} {r.param}{error}")
     counts = {v: sum(r.verdict == v for r in results)
               for v in ("pass", "fail", "inapplicable")}
     print(f"# pass={counts['pass']} fail={counts['fail']} "

@@ -182,6 +182,8 @@ def _kernel_from_chain(chain: list[np.ndarray], p: int) -> np.ndarray:
     ker(M mod p^(j+1))}, generated by (a[lead], (a - K a[lead])/p) over the
     generators a of ker(M mod p^(j+1)) together with (-p e_i, K e_i), the
     integer kernel of (x, y) -> Kx + py; that chain is canonicalized in turn.
+    The products with K run in float64 (_matmul_mod), reduced mod the power
+    of p they are read at.
     """
     k = len(chain)
     cols = chain[0].shape[1]
@@ -191,19 +193,21 @@ def _kernel_from_chain(chain: list[np.ndarray], p: int) -> np.ndarray:
     lead = [cols - 1 - c for _, c in reversed(pivots)]
     if k == 1 or not basis.shape[0]:
         return basis
-    K = basis.T.astype(np.int64)
+    K = basis.T
     kappa = K.shape[1]
     shifts = np.concatenate([-p * np.eye(kappa, dtype=np.int64), K]).T
     sub = []
     for j in range(1, k):
         A = chain[j].astype(np.int64)
         X = A[:, lead]
-        lifted = np.concatenate([X, (A - X @ K.T) // p], axis=1)
+        # A - X K^T = 0 mod p, and mod p^(j+1) it fixes its quotient mod p^j
+        lifted = np.concatenate(
+            [X, (A - _matmul_mod(X, K.T, p ** (j + 1))) // p], axis=1)
         sub.append(np.concatenate([lifted, shifts]) % p**j)
     q = p**k
     w = _kernel_from_chain(sub, p).astype(np.int64)
-    return ((w[:, :kappa] @ K.T + p * w[:, kappa:]) % q).astype(
-        _int_dtype(q - 1))
+    return ((_matmul_mod(w[:, :kappa], K.T, q) + p * w[:, kappa:]) % q
+            ).astype(_int_dtype(q - 1))
 
 
 def smith_mod_prime_power(A: np.ndarray, p: int, k: int, extra=None,
@@ -271,6 +275,12 @@ def smith_mod_prime_power(A: np.ndarray, p: int, k: int, extra=None,
     return vals, V, uinv if inverse else (W[:, cols:] % q).astype(np.int64)
 
 
+def _reduced(A: np.ndarray, q: int) -> np.ndarray:
+    """A mod q, in A's own integer type where q fits it: narrow is fast."""
+    return np.remainder(A, q, dtype=np.int64 if q > np.iinfo(A.dtype).max
+                        else A.dtype)
+
+
 def _matmul_mod_blocks(X: np.ndarray, Y: np.ndarray, q: int):
     """Yield (first row, block) over the row blocks of X @ Y mod q.
 
@@ -286,13 +296,11 @@ def _matmul_mod_blocks(X: np.ndarray, Y: np.ndarray, q: int):
         raise ModulusMismatch(f"{inner} products mod {q} leave the float64 "
                               "integer range")
     per = prod(X.shape[1:-1])
-    # reduce in X's own integer type where q fits it: narrow is fast
-    wide = np.int64 if q > np.iinfo(X.dtype).max else X.dtype
-    Yf = (np.asarray(Y, dtype=np.int64) % q).astype(np.float64)
+    Yf = _reduced(np.asarray(Y), q).astype(np.float64)
     step = max(1, _BLOCK_BYTES // (8 * max(per * inner, 1)))
     for i in range(0, X.shape[0], step):
         block = X[i:i + step]
-        B = np.remainder(block, q, dtype=wide).astype(np.float64).reshape(
+        B = _reduced(block, q).astype(np.float64).reshape(
             block.shape[0] * per, inner) @ Yf
         yield i * per, np.remainder(B, q, out=B)
 

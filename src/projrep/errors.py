@@ -1,15 +1,27 @@
-"""Exception hierarchy for the projrep package."""
+"""Exception hierarchy for the projrep package.
+
+An InputError is in what a run is given: a group name, a group file or a
+configuration.  It ends a sweep as it ends every command.  Any other
+ProjrepError raised while a sweep solves a group or runs one of its checks
+becomes an ``error`` record of that group or task, and the sweep goes on.
+No group is refused for its order below ``groups.ORDER_CAP``: every group
+that loads gets its whole multiplier.
+"""
 
 
 class ProjrepError(Exception):
     """Base class for all projrep errors."""
 
 
-class NotPermutation(ProjrepError):
+class InputError(ProjrepError):
+    """A run's input names no group or no valid configuration."""
+
+
+class NotPermutation(InputError):
     """A generator is not a permutation of the stated point set."""
 
 
-class ClosureTooLarge(ProjrepError):
+class ClosureTooLarge(InputError):
     """Permutation generators close into a group above ``groups.ORDER_CAP``."""
 
 
@@ -79,17 +91,17 @@ class ReconstructionFailure(ProjrepError):
     """Decomposition certificate failed to reconstruct its input."""
 
 
-class UnknownGroup(ProjrepError):
+class UnknownGroup(InputError):
     """Group name is not in the catalog and not a readable file."""
 
 
-class BadCoclassIndex(ProjrepError):
+class BadCoclassIndex(InputError):
     """Coclass index is out of range for the group's multiplier."""
 
 
-class ParseError(ProjrepError):
+class ParseError(InputError):
     """Malformed group or cocycle JSON input."""
 
 
-class ConfigError(ProjrepError):
+class ConfigError(InputError):
     """Invalid run configuration."""

@@ -55,7 +55,9 @@ class TwistedAlgebra:
     complex ``table`` to."""
 
     def __init__(self, group: FiniteGroup, table: np.ndarray):
-        self._hold(Cocycle.from_units(group, table), table)
+        # a copy: _hold freezes the table it keeps, not the caller's
+        self._hold(Cocycle.from_units(group, table),
+                   np.array(table, dtype=np.complex128))
 
     @classmethod
     def from_cocycle(cls, c: Cocycle) -> "TwistedAlgebra":

@@ -121,7 +121,7 @@ class CheckResult:
     param: str
     lhs: object
     rhs: object
-    verdict: str  # "pass" | "fail" | "inapplicable"
+    verdict: str  # "pass" | "fail" | "inapplicable" | "error"
     witnesses: dict = field(default_factory=dict)
     reason: str = ""
 

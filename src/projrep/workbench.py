@@ -5,7 +5,9 @@ with ``--jobs`` above 1 the groups are shared out over forked worker
 processes, one group at a time.  Every randomized step is seeded from
 (config seed, group, coclass) alone and every cache is per group or per
 Cayley table, so identical configurations produce byte-identical reports at
-any number of workers.
+any number of workers.  A task that raises gives an ``error`` record in
+place of its results (``_sweep_group``), and the run's exit status is
+nonzero.
 
 This module imports every compute layer at module level; the command line
 imports it only inside the commands that compute.  ``resolve_group`` and
@@ -25,7 +27,7 @@ from pathlib import Path
 
 from .catalog import catalog, group_contexts, resolve_group
 from .cohomology import multiplier_report
-from .errors import ConfigError
+from .errors import ConfigError, InputError, ProjrepError
 from .groups import PiSet, default_pi_sets, is_solvable, o_pi, prime_divisors
 from .tolerances import CHECK_NAMES, TOLERANCES
 from .twisted import wedderburn
@@ -41,6 +43,8 @@ from .verify import (
     verify_normal_sylow_criterion,
     verify_pi_theorem,
 )
+
+VERDICTS = ("pass", "fail", "inapplicable", "error")
 
 
 @dataclass
@@ -83,7 +87,8 @@ def contexts_for(name: str, config: RunConfig) -> list[CoclassContext]:
 
 
 def _check_tasks(name: str, ctxs, config: RunConfig):
-    """Yield callables producing CheckResult lists for one group."""
+    """Yield (context, check, parameter, callable) for one group; each
+    callable produces a CheckResult list."""
     G = ctxs[0].group
     primes = config.primes or list(prime_divisors(G.order))
     pis = config.pi_sets
@@ -91,23 +96,27 @@ def _check_tasks(name: str, ctxs, config: RunConfig):
         pis = default_pi_sets(G.order)
     for ctx in ctxs:
         if "basic" in config.checks:
-            yield lambda c=ctx: [verify_basic(c)]
+            yield ctx, "basic", "-", lambda c=ctx: [verify_basic(c)]
         if "ito-michler" in config.checks:
             for p in primes:
-                yield lambda c=ctx, q=p: [verify_ito_michler(c, q)]
+                yield ctx, "ito-michler", f"p={p}", \
+                    lambda c=ctx, q=p: [verify_ito_michler(c, q)]
         if "sylow-criterion" in config.checks:
             for p in primes:
-                yield lambda c=ctx, q=p: [verify_normal_sylow_criterion(c, q)]
+                yield ctx, "sylow-criterion", f"p={p}", \
+                    lambda c=ctx, q=p: [verify_normal_sylow_criterion(c, q)]
         if "pi-theorem" in config.checks:
             for pi in pis:
-                yield lambda c=ctx, q=pi: [verify_pi_theorem(c, q)]
+                yield ctx, "pi-theorem", f"pi={pi.label()}", \
+                    lambda c=ctx, q=pi: [verify_pi_theorem(c, q)]
         if "clifford-laws" in config.checks:
-            yield lambda c=ctx: _clifford_check(c)
+            yield ctx, "clifford-laws", "-", lambda c=ctx: _clifford_check(c)
         if "a5-control" in config.checks and name == "A5" \
                 and ctx.label == "[0]":
-            yield lambda c=ctx: [verify_a5_negative_control(c)]
+            yield ctx, "a5-control", "-", \
+                lambda c=ctx: [verify_a5_negative_control(c)]
         if "decompose" in config.checks:
-            yield lambda c=ctx: _decompose_check(c)
+            yield ctx, "decompose", "-", lambda c=ctx: _decompose_check(c)
 
 
 def _clifford_check(ctx: CoclassContext) -> list[CheckResult]:
@@ -145,10 +154,34 @@ def _decompose_check(ctx: CoclassContext) -> list[CheckResult]:
     return out
 
 
+def _error(group: str, coclass: str, check: str, param: str,
+           exc: ProjrepError) -> CheckResult:
+    return CheckResult(name=check, group=group, coclass=coclass, param=param,
+                       lhs=None, rhs=None, verdict="error",
+                       witnesses={"error": type(exc).__name__},
+                       reason=str(exc))
+
+
 def _sweep_group(name: str, config: RunConfig) -> list[CheckResult]:
-    """Every check of one group, run in this process."""
-    ctxs = contexts_for(name, config)
-    return [r for task in _check_tasks(name, ctxs, config) for r in task()]
+    """Every check of one group, run in this process.
+
+    A ProjrepError that is no InputError becomes one ``error`` record: of
+    the task it ends, or of the group (check ``contexts``) when its contexts
+    cannot be built.  The other tasks run as they would without it.
+    """
+    try:
+        ctxs = contexts_for(name, config)
+    except InputError:
+        raise
+    except ProjrepError as exc:
+        return [_error(name, "-", "contexts", "-", exc)]
+    out = []
+    for ctx, check, param, task in _check_tasks(name, ctxs, config):
+        try:
+            out += task()
+        except ProjrepError as exc:
+            out.append(_error(name, ctx.label, check, param, exc))
+    return out
 
 
 def _worker_count(jobs: int, groups: int) -> int:
@@ -185,7 +218,7 @@ def run(config: RunConfig) -> tuple[int, list[CheckResult]]:
     results.sort(key=lambda r: (r.group, r.coclass, r.name, r.param))
     if config.out is not None:
         write_reports(results, config)
-    status = 1 if any(r.verdict == "fail" for r in results) else 0
+    status = 1 if any(r.verdict in ("fail", "error") for r in results) else 0
     return status, results
 
 
@@ -200,15 +233,13 @@ def write_reports(results: list[CheckResult], config: RunConfig) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     counts: dict[tuple[str, str], dict[str, int]] = {}
     for r in results:
-        row = counts.setdefault((r.group, r.name),
-                                {"pass": 0, "fail": 0, "inapplicable": 0})
+        row = counts.setdefault((r.group, r.name), dict.fromkeys(VERDICTS, 0))
         row[r.verdict] += 1
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["group", "check", "pass", "fail", "inapplicable"])
+        writer.writerow(["group", "check", *VERDICTS])
         for (group, check), row in sorted(counts.items()):
-            writer.writerow([group, check, row["pass"], row["fail"],
-                             row["inapplicable"]])
+            writer.writerow([group, check, *row.values()])
 
 
 # -- single-shot reports ------------------------------------------------------

@@ -199,6 +199,18 @@ def test_complex_tables_round_once_or_are_refused(s4g):
             TwistedAlgebra(s4g, tab)
 
 
+def test_algebra_freezes_its_own_table_only(s4g):
+    # the algebra's table is read-only; the caller's array stays writeable,
+    # and a later write to it does not reach the algebra
+    tab = schur_multiplier(s4g).coclass([1]).representative.unit_table()
+    A = TwistedAlgebra(s4g, tab)
+    assert tab.flags.writeable and not A.table.flags.writeable
+    tab[1, 1] = 0
+    assert abs(A.table[1, 1]) == 1
+    B = TwistedAlgebra.from_cocycle(A.cocycle)
+    assert not B.table.flags.writeable
+
+
 def test_star_antiautomorphism(v4_twisted):
     A = v4_twisted
     rng = np.random.default_rng(2)

@@ -229,6 +229,82 @@ def test_process_pool_matches_serial_on_three_groups(tmp_path):
         {"S4", "SL(2,3)", "A5"}
 
 
+def _planted(monkeypatch, where):
+    """Make one task (where="task") or one group's contexts (where="group")
+    raise a ProjrepError, in this process and in forked workers."""
+    from projrep.errors import NumericDegeneracy
+    check = workbench.verify_normal_sylow_criterion
+    contexts = workbench.group_contexts
+
+    def sylow(ctx, p):
+        if (ctx.group.name, ctx.label, p) == ("S4", "[1]", 3):
+            raise NumericDegeneracy("planted")
+        return check(ctx, p)
+
+    def group(G):
+        if G.name == "S3":
+            raise NumericDegeneracy("planted")
+        return contexts(G)
+
+    if where == "task":
+        monkeypatch.setattr(workbench, "verify_normal_sylow_criterion", sylow)
+    else:
+        monkeypatch.setattr(workbench, "group_contexts", group)
+
+
+@pytest.mark.parametrize("where, key", [
+    ("task", ("S4", "[1]", "sylow-criterion", "p=3")),
+    ("group", ("S3", "-", "contexts", "-")),
+])
+def test_an_error_is_one_record(tmp_path, monkeypatch, where, key):
+    # a ProjrepError ends one task, or one group's contexts, and gives one
+    # error record in place of its results; every other record is as in a
+    # clean run, at one job and at two, and the exit status is nonzero
+    def sweep(sub, jobs):
+        config = RunConfig(groups=["S3", "S4", "C6"],
+                           checks=["basic", "sylow-criterion"], seed=3,
+                           jobs=jobs, out=tmp_path / sub)
+        status, results = run(config)
+        lines = (tmp_path / sub / "results.jsonl").read_text().splitlines()
+        return status, [json.loads(line) for line in lines]
+
+    status, clean = sweep("clean", 1)
+    assert status == 0
+    _planted(monkeypatch, where)
+    lost = [r for r in clean if r["group"] == key[0] and (
+        where == "group" or (r["coclass"], r["check"], r["param"])
+        == (key[1], "normal_sylow_criterion", key[3]))]
+    assert lost
+    for jobs in (1, 2):
+        status, records = sweep(str(jobs), jobs)
+        errors = [r for r in records if r["verdict"] == "error"]
+        assert status == 1 and len(errors) == 1
+        (err,) = errors
+        assert (err["group"], err["coclass"], err["check"], err["param"]) \
+            == key
+        assert (err["witnesses"], err["reason"]) == (
+            {"error": "NumericDegeneracy"}, "planted")
+        assert [r for r in records if r is not err] == \
+            [r for r in clean if r not in lost]
+        summary = (tmp_path / str(jobs) / "summary.csv").read_text()
+        assert summary.splitlines()[0] == \
+            "group,check,pass,fail,inapplicable,error"
+        assert f"{key[0]},{key[2]},0,0,0,1" in summary.splitlines()
+
+
+def test_cli_prints_errors_above_its_last_line(monkeypatch, capsys):
+    _planted(monkeypatch, "task")
+    status, out, err = _entry(monkeypatch, capsys, "verify", "S4",
+                              "--check", "sylow-criterion")
+    lines = out.splitlines()
+    errors = [line for line in lines if line.startswith("ERROR")]
+    assert (status, err) == (1, "")
+    assert len(errors) == 1 and errors[0].split()[1:5] == [
+        "sylow-criterion", "S4", "c=[1]", "p=3"]
+    assert errors[0].endswith("  NumericDegeneracy: planted")
+    assert lines[-1] == "# pass=3 fail=0 inapplicable=0"
+
+
 def test_unknown_group_raises_the_same_error_at_any_jobs():
     messages = []
     for jobs in (1, 2):
