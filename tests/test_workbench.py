@@ -92,16 +92,11 @@ def test_coclass_enumeration():
 
 def test_h2_cap_is_no_option(monkeypatch, capsys):
     # no order bound on the multiplier: not as an option, not from the
-    # environment and not as a parameter
+    # environment and not in the configuration (test_source holds the
+    # functions to no cap parameter)
     import dataclasses
-    import inspect
 
-    from projrep.catalog import group_contexts
-    from projrep.cohomology import multiplier_report
-    for fn in (coclass_contexts, group_contexts, multiplier_report):
-        assert list(inspect.signature(fn).parameters) in (["name"], ["G"])
-    assert "h2_cap" not in {f.name for f in
-                            dataclasses.fields(RunConfig)}
+    assert "h2_cap" not in {f.name for f in dataclasses.fields(RunConfig)}
     status, out, _ = _entry(monkeypatch, capsys, "--h2-cap", "120", "catalog")
     assert (status, out) == (2, "")
     monkeypatch.setenv("PROJREP_H2_CAP", "-1")
