@@ -6,8 +6,8 @@ processes, one group at a time.  Every randomized step is seeded from
 (config seed, group, coclass) alone and every cache is per group or per
 Cayley table, so identical configurations produce byte-identical reports at
 any number of workers.  A task that raises gives an ``error`` record in
-place of its results (``_sweep_group``), and the run's exit status is
-nonzero.
+place of its results (``_guarded``, ``_sweep_group``), and the run's exit
+status is nonzero.
 
 This module imports every compute layer at module level; the command line
 imports it only inside the commands that compute.  ``resolve_group`` and
@@ -19,6 +19,7 @@ re-exported here.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import zlib
@@ -87,36 +88,52 @@ def contexts_for(name: str, config: RunConfig) -> list[CoclassContext]:
 
 
 def _check_tasks(name: str, ctxs, config: RunConfig):
-    """Yield (context, check, parameter, callable) for one group; each
-    callable produces a CheckResult list."""
+    """Yield one callable per (context, check, parameter) task of a group;
+    each produces a CheckResult list (``_guarded``)."""
     G = ctxs[0].group
     primes = config.primes or list(prime_divisors(G.order))
     pis = config.pi_sets
     if pis is None:
         pis = default_pi_sets(G.order)
     for ctx in ctxs:
+        def task(check, param, fn, label=ctx.label):
+            return functools.partial(_guarded, fn, name, label, check, param)
         if "basic" in config.checks:
-            yield ctx, "basic", "-", lambda c=ctx: [verify_basic(c)]
+            yield task("basic", "-", lambda c=ctx: [verify_basic(c)])
         if "ito-michler" in config.checks:
             for p in primes:
-                yield ctx, "ito-michler", f"p={p}", \
-                    lambda c=ctx, q=p: [verify_ito_michler(c, q)]
+                yield task("ito_michler", f"p={p}",
+                           lambda c=ctx, q=p: [verify_ito_michler(c, q)])
         if "sylow-criterion" in config.checks:
             for p in primes:
-                yield ctx, "sylow-criterion", f"p={p}", \
-                    lambda c=ctx, q=p: [verify_normal_sylow_criterion(c, q)]
+                yield task("normal_sylow_criterion", f"p={p}",
+                           lambda c=ctx, q=p:
+                           [verify_normal_sylow_criterion(c, q)])
         if "pi-theorem" in config.checks:
             for pi in pis:
-                yield ctx, "pi-theorem", f"pi={pi.label()}", \
-                    lambda c=ctx, q=pi: [verify_pi_theorem(c, q)]
+                yield task("pi_theorem", f"pi={pi.label()}",
+                           lambda c=ctx, q=pi: [verify_pi_theorem(c, q)])
         if "clifford-laws" in config.checks:
-            yield ctx, "clifford-laws", "-", lambda c=ctx: _clifford_check(c)
+            yield task("clifford_laws", "-", lambda c=ctx: _clifford_check(c))
         if "a5-control" in config.checks and name == "A5" \
                 and ctx.label == "[0]":
-            yield ctx, "a5-control", "-", \
-                lambda c=ctx: [verify_a5_negative_control(c)]
+            yield task("a5_negative_control", "-",
+                       lambda c=ctx: [verify_a5_negative_control(c)])
         if "decompose" in config.checks:
-            yield ctx, "decompose", "-", lambda c=ctx: _decompose_check(c)
+            yield task("pi_decomposition", "-",
+                       lambda c=ctx: _decompose_check(c))
+
+
+def _guarded(fn, group: str, coclass: str, check: str,
+             param: str) -> list[CheckResult]:
+    """Run one task.  A ProjrepError that is no InputError ends it with one
+    ``error`` record, named as the task's own results are."""
+    try:
+        return fn()
+    except InputError:
+        raise
+    except ProjrepError as exc:
+        return [_error(group, coclass, check, param, exc)]
 
 
 def _clifford_check(ctx: CoclassContext) -> list[CheckResult]:
@@ -166,8 +183,9 @@ def _sweep_group(name: str, config: RunConfig) -> list[CheckResult]:
     """Every check of one group, run in this process.
 
     A ProjrepError that is no InputError becomes one ``error`` record: of
-    the task it ends, or of the group (check ``contexts``) when its contexts
-    cannot be built.  The other tasks run as they would without it.
+    the task it ends (``_guarded``), or of the group (check ``contexts``)
+    when its contexts cannot be built.  The other tasks run as they would
+    without it.
     """
     try:
         ctxs = contexts_for(name, config)
@@ -175,13 +193,7 @@ def _sweep_group(name: str, config: RunConfig) -> list[CheckResult]:
         raise
     except ProjrepError as exc:
         return [_error(name, "-", "contexts", "-", exc)]
-    out = []
-    for ctx, check, param, task in _check_tasks(name, ctxs, config):
-        try:
-            out += task()
-        except ProjrepError as exc:
-            out.append(_error(name, ctx.label, check, param, exc))
-    return out
+    return [r for task in _check_tasks(name, ctxs, config) for r in task()]
 
 
 def _worker_count(jobs: int, groups: int) -> int:

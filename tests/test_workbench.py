@@ -1,5 +1,6 @@
 """Tests for the catalog, run configuration, reports, and the CLI."""
 
+import functools
 import importlib
 import json
 import os
@@ -248,13 +249,24 @@ def _planted(monkeypatch, where):
 
 
 @pytest.mark.parametrize("where, key", [
-    ("task", ("S4", "[1]", "sylow-criterion", "p=3")),
+    ("task", ("S4", "[1]", "normal_sylow_criterion", "p=3")),
     ("group", ("S3", "-", "contexts", "-")),
 ])
-def test_an_error_is_one_record(tmp_path, monkeypatch, where, key):
+@pytest.mark.parametrize("wrapped", [False, True])
+def test_an_error_is_one_record(tmp_path, monkeypatch, where, key, wrapped):
     # a ProjrepError ends one task, or one group's contexts, and gives one
-    # error record in place of its results; every other record is as in a
-    # clean run, at one job and at two, and the exit status is nonzero
+    # error record in place of its results, named as the task's own results
+    # are; every other record is as in a clean run, at one job and at two,
+    # and the exit status is nonzero.  The same holds when _check_tasks is
+    # wrapped, as a tracer wraps it, into one new callable per task
+    if wrapped:
+        tasks = workbench._check_tasks
+
+        def wrapped_tasks(*args):
+            for task in tasks(*args):
+                yield functools.partial(lambda t: t(), task)
+        monkeypatch.setattr(workbench, "_check_tasks", wrapped_tasks)
+
     def sweep(sub, jobs):
         config = RunConfig(groups=["S3", "S4", "C6"],
                            checks=["basic", "sylow-criterion"], seed=3,
@@ -268,7 +280,7 @@ def test_an_error_is_one_record(tmp_path, monkeypatch, where, key):
     _planted(monkeypatch, where)
     lost = [r for r in clean if r["group"] == key[0] and (
         where == "group" or (r["coclass"], r["check"], r["param"])
-        == (key[1], "normal_sylow_criterion", key[3]))]
+        == key[1:])]
     assert lost
     for jobs in (1, 2):
         status, records = sweep(str(jobs), jobs)
@@ -284,7 +296,30 @@ def test_an_error_is_one_record(tmp_path, monkeypatch, where, key):
         summary = (tmp_path / str(jobs) / "summary.csv").read_text()
         assert summary.splitlines()[0] == \
             "group,check,pass,fail,inapplicable,error"
-        assert f"{key[0]},{key[2]},0,0,0,1" in summary.splitlines()
+        rows = [line.split(",") for line in summary.splitlines()[1:]]
+        erred = [(r[0], r[1]) for r in rows if r[-1] != "0"]
+        assert erred == [(key[0], key[2])]
+        assert sum(int(r[-1]) for r in rows) == 1
+
+
+def test_a_traced_sweep_writes_the_untraced_reports(tmp_path):
+    # the benchmark's tracer (perfbench/tracer.py) replaces _check_tasks
+    # with one timing wrapper per task it yields; the sweep it runs must
+    # write the reports an untraced run writes
+    src = os.path.dirname(os.path.dirname(workbench.__file__))
+    tracer = os.path.join(os.path.dirname(src), "perfbench", "tracer.py")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, tracer, str(tmp_path / "spans.jsonl"), "sweep",
+         "--jobs", "1", "--seed", "0", "--out", str(tmp_path / "traced"),
+         "S3", "C6"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    run(RunConfig(groups=["S3", "C6"], seed=0, out=tmp_path / "plain"))
+    for report in ("results.jsonl", "summary.csv"):
+        assert (tmp_path / "traced" / report).read_bytes() == \
+            (tmp_path / "plain" / report).read_bytes()
 
 
 def test_cli_prints_errors_above_its_last_line(monkeypatch, capsys):
@@ -295,7 +330,7 @@ def test_cli_prints_errors_above_its_last_line(monkeypatch, capsys):
     errors = [line for line in lines if line.startswith("ERROR")]
     assert (status, err) == (1, "")
     assert len(errors) == 1 and errors[0].split()[1:5] == [
-        "sylow-criterion", "S4", "c=[1]", "p=3"]
+        "normal_sylow_criterion", "S4", "c=[1]", "p=3"]
     assert errors[0].endswith("  NumericDegeneracy: planted")
     assert lines[-1] == "# pass=3 fail=0 inapplicable=0"
 
