@@ -255,9 +255,8 @@ def coclass_contexts(name: str) -> list[CoclassContext]:
 
 
 def group_contexts(G: FiniteGroup) -> list[CoclassContext]:
-    """One context per coclass of G, lexicographic over the basis: every
-    group, up to ``groups.ORDER_CAP``, gets its whole multiplier."""
+    """One context per coclass of G's whole multiplier, lexicographic over
+    the basis; each reads its group, cocycle and label off its coclass."""
     from .cohomology import schur_multiplier
     from .verify import CoclassContext
-    return [CoclassContext(G, c.representative, label=c.label(), coclass=c)
-            for c in schur_multiplier(G).coclasses()]
+    return [CoclassContext(c) for c in schur_multiplier(G).coclasses()]

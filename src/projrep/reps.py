@@ -212,8 +212,13 @@ def split_regular(A: TwistedAlgebra, seed: int = 0) -> list[ProjRep]:
 
     Inside the image of a central idempotent the commutant of the left
     action is the right multiplications, so an eigenspace of a generic
-    Hermitian right multiplication is a single irreducible copy.
+    Hermitian right multiplication is a single irreducible copy.  The list
+    is cached on A under ("irreps", seed), as ``wedderburn`` caches its
+    blocks.
     """
+    key = ("irreps", seed)
+    if key in A._cache:
+        return A._cache[key]
     w = wedderburn(A, seed=seed)
     out = []
     for e_vec, V in zip(w.idempotents, w.images):
@@ -221,6 +226,7 @@ def split_regular(A: TwistedAlgebra, seed: int = 0) -> list[ProjRep]:
             raise NumericDegeneracy("block image is not fixed by its idempotent")
         out.append(_split_block(A, V, math.isqrt(V.shape[1]), seed))
     out.sort(key=lambda r: (r.degree, _character_key(r)))
+    A._cache[key] = out
     return out
 
 

@@ -9,6 +9,7 @@ reproduce them (coclass label, seed, witnesses).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 from .cohomology import (
     Cocycle,
     Coclass,
-    class_order,
     is_trivial_coclass,
     pi_part,
     restrict_coclass,
@@ -59,22 +59,23 @@ from .twisted import TwistedAlgebra, c_regular_classes, wedderburn
 
 
 class CoclassContext:
-    """Cached twisted-algebra data for one (group, coclass) pair."""
+    """One class [c] of H^2(G, C*) and its twisted algebra.
 
-    def __init__(self, group: FiniteGroup, cocycle: Cocycle, label: str = "[]",
-                 seed: int = 0, coclass: Coclass | None = None):
-        self.group = group
-        self.cocycle = cocycle
-        self.label = label
-        self.seed = seed
+    ``group``, ``cocycle``, ``label`` and ``order`` are read off the
+    coclass; every Wedderburn solve and split is cached on its algebra, so
+    ``restricted(H)`` hands out one restricted algebra per subgroup."""
+
+    def __init__(self, coclass: Coclass, seed: int = 0):
         self.coclass = coclass
-        self._cache: dict = {}
+        self.seed = seed
+        self.group: FiniteGroup = coclass.multiplier.group
+        self.cocycle: Cocycle = coclass.representative
+        self.label = coclass.label()
+        self._restricted: dict[Subgroup, TwistedAlgebra] = {}
 
-    @property
+    @functools.cached_property
     def algebra(self) -> TwistedAlgebra:
-        if "algebra" not in self._cache:
-            self._cache["algebra"] = TwistedAlgebra.from_cocycle(self.cocycle)
-        return self._cache["algebra"]
+        return TwistedAlgebra.from_cocycle(self.cocycle)
 
     @property
     def degrees(self) -> list[int]:
@@ -86,31 +87,21 @@ class CoclassContext:
 
     @property
     def irreps(self) -> list[ProjRep]:
-        if "irreps" not in self._cache:
-            self._cache["irreps"] = split_regular(self.algebra, seed=self.seed)
-        return self._cache["irreps"]
+        return split_regular(self.algebra, seed=self.seed)
 
     @property
     def order(self) -> int:
-        """Order of the coclass: symbolic when available, else exact from
-        the table."""
-        if "order" not in self._cache:
-            self._cache["order"] = (class_order(self.cocycle)
-                                    if self.coclass is None
-                                    else self.coclass.order)
-        return self._cache["order"]
+        return self.coclass.order
 
-    def restricted(self, H: Subgroup) -> "CoclassContext":
-        key = ("res", H.elements.tobytes())
-        if key not in self._cache:
-            rc = self.cocycle.restrict(H)
-            self._cache[key] = CoclassContext(
-                H.as_group(), rc, label=self.label + "|res", seed=self.seed)
-        return self._cache[key]
+    def restricted(self, H: Subgroup) -> TwistedAlgebra:
+        """The twisted algebra of H under the restricted cocycle."""
+        if H not in self._restricted:
+            self._restricted[H] = self.algebra.restrict(H)
+        return self._restricted[H]
 
     def restriction_trivial(self, H: Subgroup) -> bool:
         """Exact triviality of the restricted cocycle class."""
-        return is_trivial_coclass(self.restricted(H).cocycle)
+        return is_trivial_coclass(self.cocycle.restrict(H))
 
 
 @dataclass
@@ -192,9 +183,8 @@ def verify_basic(ctx: CoclassContext) -> CheckResult:
             continue
         H = hall_subgroup(G, pi)
         side_order = pi.part(o) == 1          # Pi(c) inside pi'
-        sides = [side_order, ctx.restriction_trivial(H)]
-        if ctx.coclass is not None:
-            sides.append(restrict_coclass(ctx.coclass, H).is_trivial())
+        sides = [side_order, ctx.restriction_trivial(H),
+                 restrict_coclass(ctx.coclass, H).is_trivial()]
         ok = len(set(sides)) == 1
         checks[f"hall_criterion_{pi.label()}"] = ok
         hall_tested += 1
@@ -235,7 +225,7 @@ def verify_clifford_laws(ctx: CoclassContext, N: Subgroup,
         | set(prime_divisors(index))
     checks["fiber_primes"] = lhs_primes == rhs_primes
     # primes of Irr(N | res c) sit inside Pi(N) and Pi(Irr(G|c))
-    n_degrees = ctx.restricted(N).degrees
+    n_degrees = wedderburn(ctx.restricted(N), seed=ctx.seed).degrees
     n_primes = set().union(*[set(prime_divisors(d)) for d in n_degrees])
     g_primes = set().union(*[set(prime_divisors(d)) for d in ctx.degrees])
     checks["subgroup_primes"] = n_primes <= (set(prime_divisors(N.order))
@@ -279,12 +269,12 @@ def _abelian_hall_conditions(ctx: CoclassContext, pi: PiSet,
     inv_irr = True
     inv_cls = True
     if N.order > 1:
-        res_ctx = ctx.restricted(N)
-        for Vn in res_ctx.irreps:
+        A_N = ctx.restricted(N)
+        for Vn in split_regular(A_N, seed=ctx.seed):
             if not all(is_inertial(Vn, N, g, A) for g in h_gens):
                 inv_irr = False
                 break
-        reg = res_ctx.regular_data
+        reg = c_regular_classes(A_N)
         classes_N = conjugacy_classes(N.as_group())
         for rec, cls in zip(reg.records, classes_N):
             if not rec.c_regular:
@@ -354,7 +344,7 @@ def verify_normal_sylow_criterion(ctx: CoclassContext, p: int) -> CheckResult:
         return _inapplicable("normal_sylow_criterion", ctx, param,
                              f"{G.name} is not {p}-solvable")
     N = o_pi(G, PiSet([p]).complement_in(G.order))
-    if N.order > 1 and not all(ctx.restricted(N).regular_data.flags):
+    if N.order > 1 and not all(c_regular_classes(ctx.restricted(N)).flags):
         return _inapplicable("normal_sylow_criterion", ctx, param,
                              "a class of the p-complement core is not c-regular")
     P = sylow_subgroup(G, p)
@@ -578,15 +568,13 @@ def pi_decompose(V: ProjRep, pi: PiSet, ctx: CoclassContext
         is_trivial_coclass(Cocycle.from_units(
             Hp_loc.as_group(), restrict_rep(V_pi, Hp_loc).table))
     # coclass identification against the symbolic pi-parts
-    if ctx.coclass is not None:
-        c_pi, c_pip = pi_part(ctx.coclass, pi)
-        for nameq, part, rep in (("pi", c_pi, V_pi), ("pip", c_pip, V_pip)):
-            quotient = Cocycle.from_units(Jf, rep.table).mul(
-                part.representative.restrict(J).power(-1))
-            checks[f"coclass_{nameq}_identified"] = \
-                is_trivial_coclass(quotient)
-        witnesses["c_pi_order"] = c_pi.order
-        witnesses["c_pip_order"] = c_pip.order
+    c_pi, c_pip = pi_part(ctx.coclass, pi)
+    for nameq, part, rep in (("pi", c_pi, V_pi), ("pip", c_pip, V_pip)):
+        quotient = Cocycle.from_units(Jf, rep.table).mul(
+            part.representative.restrict(J).power(-1))
+        checks[f"coclass_{nameq}_identified"] = is_trivial_coclass(quotient)
+    witnesses["c_pi_order"] = c_pi.order
+    witnesses["c_pip_order"] = c_pip.order
     # degree identities
     index = cert.index
     dimv = V.degree

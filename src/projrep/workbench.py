@@ -31,6 +31,7 @@ from .cohomology import multiplier_report
 from .errors import ConfigError, InputError, ProjrepError
 from .groups import PiSet, default_pi_sets, is_solvable, o_pi, prime_divisors
 from .tolerances import CHECK_NAMES, TOLERANCES
+from .reps import split_regular
 from .twisted import wedderburn
 from .verify import (
     CheckResult,
@@ -140,17 +141,16 @@ def _clifford_check(ctx: CoclassContext) -> list[CheckResult]:
     """Clifford dimension laws over one normal core per prime."""
     G = ctx.group
     cores = []
-    seen = set()
     for p in prime_divisors(G.order):
         N = o_pi(G, PiSet([p]).complement_in(G.order))
-        if 1 < N.order < G.order and N.elements.tobytes() not in seen:
-            seen.add(N.elements.tobytes())
+        if 1 < N.order < G.order and N not in cores:
             cores.append(N)
     if not cores:
         return [_inapplicable("clifford_laws", ctx, "-",
                               "no proper nontrivial p-complement core")]
-    return [verify_clifford_laws(ctx, N, ctx.restricted(N).irreps[-1])
-            for N in cores]
+    return [verify_clifford_laws(
+        ctx, N, split_regular(ctx.restricted(N), seed=ctx.seed)[-1])
+        for N in cores]
 
 
 def _decompose_check(ctx: CoclassContext) -> list[CheckResult]:

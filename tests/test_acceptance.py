@@ -181,7 +181,7 @@ def test_criterion_05_ito_michler_equivalence():
                 if r.verdict != "pass":
                     failures.append((e.name, ctx.label, p))
                 checked += 1
-                if ctx.coclass is not None and not ctx.coclass.is_trivial():
+                if not ctx.coclass.is_trivial():
                     nontrivial += 1
     dt = time.time() - t0
     ok = not failures and nontrivial >= 50

@@ -5,13 +5,12 @@ import pytest
 
 from projrep import verify
 from projrep.catalog import coclass_contexts
-from projrep.cohomology import schur_multiplier, trivial_cocycle
+from projrep.cohomology import trivial_cocycle
 from projrep.errors import ReconstructionFailure
 from projrep.groups import PiSet, o_pi, pi_series
 from projrep.reps import ProjRep, split_regular
 from projrep.twisted import TwistedAlgebra
 from projrep.verify import (
-    CoclassContext,
     decompose_along_series,
     pi_decompose,
     verify_a5_negative_control,
@@ -267,15 +266,3 @@ def test_fixed_clifford_steps_extend_nothing(monkeypatch):
                 assert len(cert.factors) == len(rep.witnesses["tags"])
         counts[name] = len(calls)
     assert counts == {"E27+": 0, "S4": 16}
-
-
-def test_context_order_numeric_matches_symbolic():
-    ctx = coclass_contexts("D4")[1]
-    assert ctx.order == 2
-    # strip the symbolic handle and recompute numerically
-    bare = CoclassContext(ctx.group, ctx.cocycle, label="x", seed=0)
-    bare.group._cache.pop("schur", None)
-    try:
-        assert bare.order == 2
-    finally:
-        schur_multiplier(ctx.group)  # restore the cache for other tests
