@@ -490,17 +490,12 @@ def _unflat(v: np.ndarray, n: int) -> np.ndarray:
     return tab
 
 
-def _generators(G: FiniteGroup) -> list[int]:
-    """The distinct nonidentity elements of G.gen_set()."""
-    return [g for g in dict.fromkeys(G.gen_set()) if g]
-
-
 def _satisfies_cocycle_identity(G: FiniteGroup, t: np.ndarray, m: int) -> bool:
     """The cocycle identity mod m on the triples (x, y, g), g a generator.
     Its defect F(x,y,z) = t(x,y) + t(xy,z) - t(y,z) - t(x,yz) has
     F(x,y,zg) = F(x,y,z) + F(x,yz,g) - F(xy,z,g) + F(y,z,g), and every
     element is a nonempty word in the generators, so they imply the rest."""
-    gens = _generators(G)
+    gens = G.gen_set()
     lhs = t[:, :, None] + t[:, gens][G.mul]
     rhs = t[None, :, gens] + t[:, G.mul[:, gens]]
     return not np.any((lhs - rhs) % m)
@@ -514,7 +509,7 @@ def _cayley_tree(G: FiniteGroup) -> list[tuple[int, int, int]]:
     """
     if "cayley_tree" in G._cache:
         return G._cache["cayley_tree"]
-    gens = _generators(G)
+    gens = G.gen_set()
     seen = np.zeros(G.order, dtype=bool)
     seen[0] = True
     seen[gens] = True
@@ -568,7 +563,7 @@ def _generator_lift(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     range, so nothing wraps; an entry past the bound raises LiftOverflow.
     """
     n = G.order
-    gens = _generators(G)
+    gens = G.gen_set()
     m = n - 1
     xs = np.arange(1, n)
     lift = np.zeros((n, n, len(gens) * m), dtype=np.int8)
@@ -990,7 +985,7 @@ def _edges(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     nonidentity generator: edge (y, gens[b]) is coordinate (y - 1) r + b of
     e[edges], r = |gens|."""
     if "edges" not in G._cache:
-        gens = np.array(_generators(G), dtype=np.int64)
+        gens = np.array(G.gen_set(), dtype=np.int64)
         G._cache["edges"] = (np.repeat(np.arange(1, G.order), gens.size),
                              np.tile(gens, G.order - 1))
     return G._cache["edges"]
@@ -1014,7 +1009,7 @@ def _coboundary_tests(G: FiniteGroup) -> dict:
     if "coboundary_tests" in G._cache:
         return G._cache["coboundary_tests"]
     n = G.order
-    gens = _generators(G)
+    gens = G.gen_set()
     r = len(gens)
     edges = _edges(G)
     ys, bs = edges[0], np.tile(np.arange(r), n - 1)

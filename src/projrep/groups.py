@@ -199,14 +199,12 @@ class FiniteGroup:
         return self._cache["abelian"]
 
     def gen_set(self) -> list[int]:
-        """A small generating set: greedy over descending element order."""
+        """A small generating set of distinct nonidentity elements: the
+        given generators when at most four of them generate, else greedy
+        over descending element order."""
         if "gen_set" not in self._cache:
-            if self.order == 1:
-                gens: list[int] = []
-            elif closure(self, self.generators).size == self.order and \
-                    len(self.generators) <= 4:
-                gens = list(self.generators)
-            else:
+            gens = [g for g in dict.fromkeys(self.generators) if g]
+            if len(gens) > 4 or closure(self, gens).size < self.order:
                 orders = self.element_orders()
                 by_order = sorted(range(1, self.order),
                                   key=lambda g: (-orders[g], g))

@@ -270,7 +270,6 @@ def _compress_left_action(A: TwistedAlgebra, W: np.ndarray) -> np.ndarray:
 class Constituent:
     rep: ProjRep
     multiplicity: int
-    projector: np.ndarray
 
 
 def decompose(r: ProjRep, seed: int = 0) -> list[Constituent]:
@@ -280,8 +279,7 @@ def decompose(r: ProjRep, seed: int = 0) -> list[Constituent]:
     character); multiplicities satisfy sum(mult * deg) = deg(r).
     """
     if hom_dim(r, r) == 1:
-        return [Constituent(rep=r, multiplicity=1,
-                            projector=np.eye(r.degree, dtype=np.complex128))]
+        return [Constituent(rep=r, multiplicity=1)]
     _, basis = intertwiner_space(r, r)
     d = r.degree
     last = None
@@ -301,29 +299,23 @@ def decompose(r: ProjRep, seed: int = 0) -> list[Constituent]:
                 sub = ProjRep(r.group, r.table, mats)
                 if not is_irreducible(sub):
                     raise NumericDegeneracy("eigenspace is not irreducible")
-                subreps.append((sub, W))
+                subreps.append(sub)
         except (ValueError, NumericDegeneracy) as exc:
             last = exc if isinstance(exc, NumericDegeneracy) \
                 else NumericDegeneracy(str(exc))
             continue
         groups: list[list[int]] = []
-        for i, (sub, _) in enumerate(subreps):
+        for i, sub in enumerate(subreps):
             placed = False
             for grp in groups:
-                if hom_dim(subreps[grp[0]][0], sub) == 1:
+                if hom_dim(subreps[grp[0]], sub) == 1:
                     grp.append(i)
                     placed = True
                     break
             if not placed:
                 groups.append([i])
-        out = []
-        for grp in groups:
-            proj = np.zeros((d, d), dtype=np.complex128)
-            for i in grp:
-                W = subreps[i][1]
-                proj += W @ W.conj().T
-            out.append(Constituent(rep=subreps[grp[0]][0],
-                                   multiplicity=len(grp), projector=proj))
+        out = [Constituent(rep=subreps[grp[0]], multiplicity=len(grp))
+               for grp in groups]
         if sum(c.multiplicity * c.rep.degree for c in out) != d:
             last = NumericDegeneracy("isotypic dimensions do not add up")
             continue
@@ -344,10 +336,6 @@ def conjugate_rep(r: ProjRep, N: Subgroup, g: int, A: TwistedAlgebra) -> ProjRep
     tw = alpha_tilde(A, el, g)
     mats = tw[:, None, None] * r.matrices[N.positions()[xg]]
     return ProjRep(r.group, r.table, mats, check=False)
-
-
-def is_inertial(r: ProjRep, N: Subgroup, g: int, A: TwistedAlgebra) -> bool:
-    return hom_dim(r, conjugate_rep(r, N, g, A)) == 1
 
 
 def inertia_group(r: ProjRep, N: Subgroup, A: TwistedAlgebra) -> Subgroup:

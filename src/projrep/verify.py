@@ -9,7 +9,6 @@ reproduce them (coclass label, seed, witnesses).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,6 @@ from .reps import (
     induce_rep,
     inertia_group,
     inflate_rep_on,
-    is_inertial,
     is_irreducible,
     restrict_rep,
     split_regular,
@@ -62,20 +60,18 @@ class CoclassContext:
     """One class [c] of H^2(G, C*) and its twisted algebra.
 
     ``group``, ``cocycle``, ``label`` and ``order`` are read off the
-    coclass; every Wedderburn solve and split is cached on its algebra, so
-    ``restricted(H)`` hands out one restricted algebra per subgroup."""
+    coclass.  ``restricted(H)`` is the algebra of the restricted cocycle,
+    one per subgroup; each algebra caches its own Wedderburn blocks and
+    irreducibles."""
 
     def __init__(self, coclass: Coclass, seed: int = 0):
         self.coclass = coclass
         self.seed = seed
-        self.group: FiniteGroup = coclass.multiplier.group
-        self.cocycle: Cocycle = coclass.representative
+        self.group = coclass.multiplier.group
+        self.cocycle = coclass.representative
         self.label = coclass.label()
+        self.algebra = TwistedAlgebra.from_cocycle(self.cocycle)
         self._restricted: dict[Subgroup, TwistedAlgebra] = {}
-
-    @functools.cached_property
-    def algebra(self) -> TwistedAlgebra:
-        return TwistedAlgebra.from_cocycle(self.cocycle)
 
     @property
     def degrees(self) -> list[int]:
@@ -271,7 +267,7 @@ def _abelian_hall_conditions(ctx: CoclassContext, pi: PiSet,
     if N.order > 1:
         A_N = ctx.restricted(N)
         for Vn in split_regular(A_N, seed=ctx.seed):
-            if not all(is_inertial(Vn, N, g, A) for g in h_gens):
+            if not inertia_group(Vn, N, A).mask()[h_gens].all():
                 inv_irr = False
                 break
         reg = c_regular_classes(A_N)

@@ -30,8 +30,8 @@ from .catalog import catalog, group_contexts, resolve_group
 from .cohomology import multiplier_report
 from .errors import ConfigError, InputError, ProjrepError
 from .groups import PiSet, default_pi_sets, is_solvable, o_pi, prime_divisors
-from .tolerances import CHECK_NAMES, TOLERANCES
 from .reps import split_regular
+from .tolerances import CHECK_NAMES, TOLERANCES
 from .twisted import wedderburn
 from .verify import (
     CheckResult,
@@ -157,7 +157,7 @@ def _decompose_check(ctx: CoclassContext) -> list[CheckResult]:
     G = ctx.group
     if not is_solvable(G) or G.order > 60:
         return [_inapplicable(
-            "decompose", ctx, "-",
+            "pi_decomposition", ctx, "-",
             "certificates are swept on solvable groups of order <= 60")]
     out = []
     for p in prime_divisors(G.order):

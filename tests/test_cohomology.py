@@ -16,7 +16,6 @@ from projrep.cohomology import (
     _cocycle_generators,
     _cokernel,
     _generator_lift,
-    _generators,
     _kernel_from_chain,
     _rref_mod_p,
     class_order,
@@ -486,7 +485,7 @@ def test_edge_rows_decide_and_all_rows_check(s4g):
     # resolve reads the table on the edges (x, g) only; a table that breaks
     # the cocycle identity elsewhere must still fail where it is built
     m = schur_multiplier(s4g)
-    gens = set(cohomology._generators(s4g))
+    gens = set(s4g.gen_set())
     y = next(y for y in range(2, s4g.order) if y not in gens)
     bad = np.array(m.coclasses()[1].representative.table)
     bad[1, y] += 1
@@ -774,7 +773,7 @@ def _identity_rows_reference(G, L):
     y = np.arange(1, n)[None, :]
     M = np.concatenate([
         lift[x, y] + lift[G.mul[x, y], g] - lift[y, g] - lift[x, G.mul[y, g]]
-        for g in _generators(G)]).reshape(-1, L.shape[2])
+        for g in G.gen_set()]).reshape(-1, L.shape[2])
     M = M[np.any(M, axis=1)]
     first: dict[bytes, int] = {}
     for i, row in enumerate(M):
@@ -790,7 +789,7 @@ def test_generator_rows_solve_as_all_rows():
     cases = 0
     for name in [e.name for e in catalog() if 1 < e.order <= 60]:
         G = get_group(name)
-        n, gens = G.order, _generators(G)
+        n, gens = G.order, G.gen_set()
         L, FL = _generator_lift(G)
         assert FL.shape == (len(gens) * (len(gens) * n - (n - 1)),
                             L.shape[2]), name

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import projrep
@@ -426,3 +427,22 @@ def test_size_bounds_are_read_where_input_enters():
                catalog.resolve_group):
         params = inspect.signature(fn).parameters
         assert not [p for p in params if "cap" in p], fn.__name__
+
+
+def test_traced_names_resolve_but_the_two_stale_ones():
+    # perfbench/tracer.py wraps the functions its LAYERS names and reads 0
+    # for a name the package no longer defines; only the two names known to
+    # be stale may fail to resolve, so a deletion cannot silently zero
+    # another per-layer metric.  The tracer is parsed, not run.
+    tracer = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(), filename=str(tracer))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS"
+                          for t in node.targets))
+    missing = {f"{layer}.{name}" for layer, names in layers.items()
+               for name in names
+               if not hasattr(importlib.import_module(f"projrep.{layer}"),
+                              name)}
+    assert missing == {"cohomology.is_trivial_coclass_numeric",
+                       "cohomology.multiplier_from_central_extension"}

@@ -18,7 +18,6 @@ from projrep.cohomology import (
     _edge_form,
     _edges,
     _flat,
-    _generators,
     _satisfies_cocycle_identity,
     class_order,
     is_trivial_coclass,
@@ -224,7 +223,7 @@ def test_cocycle_identity_is_checked_at_every_generator():
     # another, are refused where they are built
     G = get_group("C2xC2")
     n, mul = G.order, G.mul
-    gens = _generators(G)
+    gens = G.gen_set()
 
     def holds(a, g):
         return not np.any((a + a[mul, g] - a[:, g][None, :]

@@ -322,6 +322,17 @@ def test_a_traced_sweep_writes_the_untraced_reports(tmp_path):
             (tmp_path / "plain" / report).read_bytes()
 
 
+def test_each_check_family_has_one_record_name():
+    # summary.csv counts verdicts per (group, check name): a family whose
+    # inapplicable records carry another name than its verdicts would be
+    # listed twice
+    names = {}
+    for check in tolerances.CHECK_NAMES:
+        _, results = run(RunConfig(groups=["A5", "S4"], checks=[check]))
+        names[check] = {r.name for r in results}
+    assert all(len(found) == 1 for found in names.values()), names
+
+
 def test_cli_prints_errors_above_its_last_line(monkeypatch, capsys):
     _planted(monkeypatch, "task")
     status, out, err = _entry(monkeypatch, capsys, "verify", "S4",
