@@ -9,6 +9,7 @@ reproduce them (coclass label, seed, witnesses).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +71,11 @@ class CoclassContext:
         self.group = coclass.multiplier.group
         self.cocycle = coclass.representative
         self.label = coclass.label()
-        self.algebra = TwistedAlgebra.from_cocycle(self.cocycle)
         self._restricted: dict[Subgroup, TwistedAlgebra] = {}
+
+    @functools.cached_property
+    def algebra(self) -> TwistedAlgebra:
+        return TwistedAlgebra.from_cocycle(self.cocycle)
 
     @property
     def degrees(self) -> list[int]:
